@@ -35,18 +35,6 @@ std::vector<int> parse_muls(const std::string& csv) {
   return muls;
 }
 
-std::vector<std::string> choice_names(std::vector<SchedulerBackendInfo> v) {
-  std::vector<std::string> names;
-  for (const auto& b : v) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> choice_names(std::vector<DvsBackendInfo> v) {
-  std::vector<std::string> names;
-  for (const auto& b : v) names.emplace_back(b.name);
-  return names;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -56,12 +44,12 @@ int main(int argc, char** argv) {
   flags.define_int("generations", 80, "GA generations (fixed, no early stop)");
   flags.define_int("seed", 1, "GA seed");
   flags.define_int("threads", 1, "fitness-evaluation threads");
-  flags.define_choice("dvs", choice_names(dvs_backends()),
+  flags.define_choice("dvs", backend_names(dvs_backends()),
                       /*default_value=*/dvs_backend_name(false),
                       /*implicit_value=*/dvs_backend_name(true),
                       "voltage-scaling backend (bare --dvs = " +
                           std::string(dvs_backend_name(true)) + ")");
-  flags.define_choice("scheduler", choice_names(scheduler_backends()),
+  flags.define_choice("scheduler", backend_names(scheduler_backends()),
                       /*default_value=*/scheduler_backends().front().name,
                       /*implicit_value=*/scheduler_backends().front().name,
                       "list-scheduler priority backend");
@@ -96,14 +84,13 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.set_header({"instance", "cold(s)", "cached(s)", "speedup",
-                    "hit rate", "stage rate", "identical"});
+                    "hit rate", "identical"});
   bool all_identical = true;
   double best_speedup = 0.0;
   long total_eval_hits = 0, total_eval_lookups = 0;
-  long total_sched_hits = 0, total_sched_lookups = 0;
   struct InstanceRow {
     int mul;
-    double cold_s, cached_s, speedup, hit_rate, stage_rate;
+    double cold_s, cached_s, speedup, hit_rate;
     bool identical;
   };
   std::vector<InstanceRow> rows;
@@ -140,35 +127,21 @@ int main(int argc, char** argv) {
             ? static_cast<double>(cached.mode_cache_hits) /
                   static_cast<double>(cached.mode_cache_lookups)
             : 0.0;
-    // Stage-level reuse: mode evaluations that skipped at least the
-    // scheduling stages (whole-mode hits reuse everything; schedule-store
-    // hits reuse stages 1-2 and re-run DVS). Never below the whole-mode
-    // hit rate, since schedule hits only add on top of it.
-    const double stage_rate =
-        cached.mode_cache_lookups > 0
-            ? static_cast<double>(cached.mode_cache_hits +
-                                  cached.schedule_cache_hits) /
-                  static_cast<double>(cached.mode_cache_lookups)
-            : 0.0;
     total_eval_hits += cached.mode_cache_hits;
     total_eval_lookups += cached.mode_cache_lookups;
-    total_sched_hits += cached.schedule_cache_hits;
-    total_sched_lookups += cached.schedule_cache_lookups;
     rows.push_back({mul, cold.elapsed_seconds, cached.elapsed_seconds,
-                    speedup, hit_rate, stage_rate, identical});
+                    speedup, hit_rate, identical});
     table.add_row({"mul" + std::to_string(mul),
                    TextTable::num(cold.elapsed_seconds, 2),
                    TextTable::num(cached.elapsed_seconds, 2),
                    TextTable::num(speedup, 2),
                    TextTable::num(100.0 * hit_rate, 1) + "%",
-                   TextTable::num(100.0 * stage_rate, 1) + "%",
                    identical ? "yes" : "NO"});
   }
   table.print(std::cout,
               "per-mode incremental evaluation (cold vs cached GA run)");
   if (flags.get_bool("profile"))
-    std::cout << profiler.table(total_eval_hits, total_eval_lookups,
-                                total_sched_hits, total_sched_lookups);
+    std::cout << profiler.table(total_eval_hits, total_eval_lookups);
 
   if (!flags.get_string("json").empty()) {
     std::ofstream out(flags.get_string("json"));
@@ -182,8 +155,7 @@ int main(int argc, char** argv) {
       out << "    \"mul" << r.mul << "\": {\"cold_s\": " << r.cold_s
           << ", \"cached_s\": " << r.cached_s
           << ", \"speedup\": " << r.speedup
-          << ", \"hit_rate\": " << r.hit_rate
-          << ", \"stage_rate\": " << r.stage_rate << ", \"identical\": "
+          << ", \"hit_rate\": " << r.hit_rate << ", \"identical\": "
           << (r.identical ? "true" : "false") << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }

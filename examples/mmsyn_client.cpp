@@ -63,27 +63,6 @@ int result_exit(const JobResultReply& result) {
   return 1;
 }
 
-std::vector<std::string> backend_names(
-    const std::vector<SchedulerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<DvsBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<PowerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -34,31 +34,6 @@
 
 using namespace mmsyn;
 
-namespace {
-
-std::vector<std::string> backend_names(
-    const std::vector<SchedulerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<DvsBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<PowerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags;
   flags.define_string("input", "", ".mmsyn file to synthesise");
@@ -330,9 +305,7 @@ int main(int argc, char** argv) {
                         !flags.get_bool("exhaustive");
     std::printf("%s", profiler
                           .table(cached ? result.mode_cache_hits : -1,
-                                 cached ? result.mode_cache_lookups : -1,
-                                 cached ? result.schedule_cache_hits : -1,
-                                 cached ? result.schedule_cache_lookups : -1)
+                                 cached ? result.mode_cache_lookups : -1)
                           .c_str());
   }
 

@@ -508,26 +508,6 @@ AuditReport audit_result(const System& system, const SynthesisResult& result,
          << " modes";
       push(out, AuditViolation::Kind::kModeCacheMismatch, os.str());
     }
-
-    // Stage-granular resume: seed a fresh memo with only the schedule
-    // artifacts (no whole-mode entries) and demand the evaluation still
-    // reproduces the cold one exactly, with every mode resuming from the
-    // stage store — the path the synthesis driver uses when the final
-    // fine-DVS evaluation reuses the GA's schedules.
-    ModeEvalCache stage_only;
-    stage_only.restore_schedules(cache.schedule_entries(), 0, 0);
-    const Evaluation staged =
-        evaluator.evaluate(result.mapping, result.cores, &stage_only);
-    if (!equal_eval(staged, fresh)) {
-      push(out, AuditViolation::Kind::kModeCacheMismatch,
-           "schedule-stage-served evaluation differs from the "
-           "cache-disabled one");
-    } else if (stage_only.schedule_hits() != static_cast<long>(num_modes)) {
-      std::ostringstream os;
-      os << "schedule-stage replay hit " << stage_only.schedule_hits()
-         << " of " << num_modes << " modes";
-      push(out, AuditViolation::Kind::kModeCacheMismatch, os.str());
-    }
   }
 
   return report;

@@ -26,9 +26,8 @@ EvaluationOptions make_eval_options(const System& system,
 }
 
 /// The island-sharded route of synthesize(): same shape as the plain
-/// route — build, resume, run, final fine-DVS evaluation through the warm
-/// memo — with the island container checkpoint machinery and the
-/// champion island's cache in place of the single GA's.
+/// route — build, resume, run, final fine-DVS evaluation — with the
+/// island container checkpoint machinery in place of the single GA's.
 SynthesisResult synthesize_islands(const System& system,
                                    const SynthesisOptions& options,
                                    RunControl* control) {
@@ -54,25 +53,10 @@ SynthesisResult synthesize_islands(const System& system,
   }
   SynthesisResult result = ga.run({}, control);
 
-  // Final (reported) evaluation through the champion island's warm memo;
-  // the schedule-stage counters stay whole-run totals (summed across
-  // islands by IslandGa::run), so only the final evaluation's delta on
-  // the champion cache is added on top.
+  // Final (reported) evaluation: fine DVS, schedules kept, true Ψ power.
   const Evaluator final_evaluator(system,
                                   make_eval_options(system, options, true));
-  ModeEvalCache* cache = options.ga.memoize_mode_evaluations
-                             ? &ga.champion_mode_cache()
-                             : nullptr;
-  if (cache != nullptr) {
-    const long pre_hits = cache->schedule_hits();
-    const long pre_lookups = cache->schedule_lookups();
-    result.evaluation =
-        final_evaluator.evaluate(result.mapping, result.cores, cache);
-    result.schedule_cache_hits += cache->schedule_hits() - pre_hits;
-    result.schedule_cache_lookups += cache->schedule_lookups() - pre_lookups;
-  } else {
-    result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
-  }
+  result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
   return result;
 }
 
@@ -104,22 +88,9 @@ SynthesisResult synthesize(const System& system,
   SynthesisResult result = ga.run({}, control);
 
   // Final (reported) evaluation: fine DVS, schedules kept, true Ψ power.
-  // It runs through the GA's warm memo: the schedule-stage keys cover only
-  // the scheduler backend, so even though the fine DVS knobs give this
-  // evaluator a different whole-mode fingerprint, the best candidate's
-  // schedules are already in the stage store and stages 1–2 are skipped.
-  // Replayed schedules are bit-identical to rebuilt ones (same stage
-  // code), so sharing the cache never changes the reported evaluation.
   const Evaluator final_evaluator(system,
                                   make_eval_options(system, options, true));
-  ModeEvalCache* cache =
-      options.ga.memoize_mode_evaluations ? &ga.mode_cache() : nullptr;
-  result.evaluation =
-      final_evaluator.evaluate(result.mapping, result.cores, cache);
-  if (cache != nullptr) {
-    result.schedule_cache_hits = cache->schedule_hits();
-    result.schedule_cache_lookups = cache->schedule_lookups();
-  }
+  result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
   return result;
 }
 

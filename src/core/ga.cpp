@@ -213,20 +213,10 @@ void MappingGa::evaluate_jobs_incremental(
   // Phase 2b (serial, job then mode order): memo lookups with in-flight
   // dedup — two jobs sharing a mode slice schedule its inner loop once;
   // the alias is credited as the hit a one-at-a-time run would have seen
-  // on the entry its predecessor inserted. A whole-mode miss additionally
-  // probes the schedule-stage store here (one-at-a-time semantics again:
-  // serial evaluation probes it exactly on whole-mode misses). Within one
-  // evaluator both key tiers partition identically — equal schedule keys
-  // imply equal whole-mode keys — so the in-flight dedup at the whole-mode
-  // level already covers the schedule tier and no schedule-level aliasing
-  // can occur inside a batch.
+  // on the entry its predecessor inserted.
   struct ModeJob {
     std::size_t job;  // owning job: runs the inner loop, inserts the result
     std::size_t mode;
-    ModeEvalKey skey;  // schedule-stage key (owner inserts on a miss)
-    /// Schedule-store hit; stays valid through phase 2c because no
-    /// insert_schedule happens before phase 2d.
-    const ModeSchedule* cached_schedule = nullptr;
   };
   std::vector<ModeJob> mode_jobs;
   std::unordered_map<ModeEvalKey, std::size_t, ModeEvalKeyHash> in_flight;
@@ -244,32 +234,20 @@ void MappingGa::evaluate_jobs_incremental(
       }
       in_flight.emplace(st.keys[m], mode_jobs.size());
       st.pending[m] = mode_jobs.size();
-      ModeJob mj{j, m, evaluator_.schedule_key(m, st.mapping, st.cores),
-                 nullptr};
-      mj.cached_schedule = mode_cache_.find_schedule(mj.skey);
-      mode_jobs.push_back(std::move(mj));
+      mode_jobs.push_back({j, m});
     }
   }
 
   // Phase 2c (parallel): the missing inner loops, one disjoint slot each.
-  // Schedule-store hits resume the pipeline from the schedule artifact
-  // (stages 3–5 only); misses run stages 1–2 into `built[k]` so the
-  // serial phase 2d can publish the artifact, then finish with the same
-  // resumed path — cold and cached execution share every stage function,
-  // which is what makes a hit bitwise-indistinguishable from a recompute.
+  // They run the same pipeline.run a cold evaluation runs, which is what
+  // makes a hit bitwise-indistinguishable from a recompute.
   std::vector<ModeEvaluation> fresh(mode_jobs.size());
-  std::vector<ModeSchedule> built(mode_jobs.size());
   const ModePipeline& pipeline = evaluator_.pipeline();
   auto run_mode = [&](std::size_t k) {
     const ModeJob& mj = mode_jobs[k];
     const JobState& st = states[mj.job];
-    const ModeMapping& mm = st.mapping.modes[mj.mode];
-    if (mj.cached_schedule != nullptr) {
-      fresh[k] = pipeline.evaluate_scheduled(mj.mode, mm, *mj.cached_schedule);
-      return;
-    }
-    built[k] = pipeline.build_schedule(mj.mode, mm, st.cores.per_mode[mj.mode]);
-    fresh[k] = pipeline.evaluate_scheduled(mj.mode, mm, built[k]);
+    fresh[k] = pipeline.run(mj.mode, st.mapping.modes[mj.mode],
+                            st.cores.per_mode[mj.mode]);
   };
   if (pool_ && mode_jobs.size() > 1) {
     pool_->parallel_for(mode_jobs.size(), run_mode);
@@ -278,21 +256,16 @@ void MappingGa::evaluate_jobs_incremental(
   }
 
   // Phase 2d (serial, job then mode order): collect the fresh results,
-  // insert each exactly once — by its owning job, so both stores' FIFO
-  // orders match the interleaved schedule-then-evaluation inserts a
-  // one-at-a-time run would have performed — then assemble the cross-mode
-  // aggregations and price the fitness.
+  // insert each exactly once — by its owning job, so the FIFO order
+  // matches the inserts a one-at-a-time run would have performed — then
+  // assemble the cross-mode aggregations and price the fitness.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobState& st = states[j];
     for (std::size_t m = 0; m < n_modes; ++m) {
       const std::size_t k = st.pending[m];
       if (k == kNoJob) continue;
       st.modes[m] = fresh[k];
-      if (mode_jobs[k].job == j) {
-        if (mode_jobs[k].cached_schedule == nullptr)
-          mode_cache_.insert_schedule(mode_jobs[k].skey, built[k]);
-        mode_cache_.insert(st.keys[m], fresh[k]);
-      }
+      if (mode_jobs[k].job == j) mode_cache_.insert(st.keys[m], fresh[k]);
     }
     results[j] = finish_fitness(
         evaluator_.assemble(st.mapping, st.cores, std::move(st.modes)));
@@ -433,9 +406,6 @@ GaSnapshot MappingGa::snapshot(const LoopState& st) const {
   s.mode_cache = mode_cache_.entries();
   s.mode_cache_hits = mode_cache_.hits();
   s.mode_cache_lookups = mode_cache_.lookups();
-  s.schedule_cache = mode_cache_.schedule_entries();
-  s.schedule_cache_hits = mode_cache_.schedule_hits();
-  s.schedule_cache_lookups = mode_cache_.schedule_lookups();
   return s;
 }
 
@@ -693,8 +663,6 @@ void MappingGa::start_loop(LoopState& st) {
                                  entry.power_true});
     mode_cache_.restore(s.mode_cache, s.mode_cache_hits,
                         s.mode_cache_lookups);
-    mode_cache_.restore_schedules(s.schedule_cache, s.schedule_cache_hits,
-                                  s.schedule_cache_lookups);
     st.start_generation = s.next_generation;
     st.generation = s.next_generation;
     restored_.reset();
@@ -1030,8 +998,6 @@ SynthesisResult MappingGa::harvest(const LoopState& st) {
   result.cache_lookups = cache_lookups_;
   result.mode_cache_hits = mode_cache_.hits();
   result.mode_cache_lookups = mode_cache_.lookups();
-  result.schedule_cache_hits = mode_cache_.schedule_hits();
-  result.schedule_cache_lookups = mode_cache_.schedule_lookups();
   result.elapsed_seconds = loop_elapsed(st);
   result.partial = st.partial;
   result.stop_reason = st.stop_reason;

@@ -188,10 +188,8 @@ struct SynthesisResult {
   /// (both 0 when GaOptions::memoize_mode_evaluations is off).
   long mode_cache_hits = 0;
   long mode_cache_lookups = 0;
-  /// Schedule-stage cache hits / lookups (the stage-granular tier of the
-  /// same memo: a hit reuses the list-scheduling artifact and re-runs
-  /// only serialization/DVS/aggregation). Probed only on whole-mode
-  /// misses, so lookups <= mode_cache_lookups - mode_cache_hits.
+  /// Always 0: the schedule-stage cache these counted no longer exists.
+  /// Kept only because the whole-system benchmark (perfbench/) reads them.
   long schedule_cache_hits = 0;
   long schedule_cache_lookups = 0;
   double elapsed_seconds = 0.0;
@@ -247,11 +245,9 @@ public:
 
   [[nodiscard]] const GenomeCodec& codec() const { return codec_; }
 
-  /// The per-mode memo this GA fills during its run. Exposed so the
-  /// synthesis driver can hand the warm cache to the final (fine-DVS)
-  /// evaluation, whose schedule-stage keys match the GA's — the final
-  /// evaluation then skips list scheduling entirely.
-  [[nodiscard]] ModeEvalCache& mode_cache() { return mode_cache_; }
+  /// The per-mode memo this GA fills during its run (IslandGa sums its
+  /// counters into the whole-run totals).
+  [[nodiscard]] const ModeEvalCache& mode_cache() const { return mode_cache_; }
 
   // ---- Island-stepping interface (DESIGN.md §14) ------------------------
   //

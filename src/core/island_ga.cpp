@@ -113,10 +113,6 @@ std::uint64_t IslandGa::state_fingerprint() const {
   return h.digest();
 }
 
-ModeEvalCache& IslandGa::champion_mode_cache() {
-  return islands_[static_cast<std::size_t>(champion_)]->ga.mode_cache();
-}
-
 IslandSnapshot IslandGa::make_snapshot() const {
   IslandSnapshot s;
   s.fingerprint = state_fingerprint();
@@ -267,7 +263,7 @@ SynthesisResult IslandGa::run(
   // counters — total work across all shards, the slowest island's
   // generation count and wall clock.
   long evaluations = 0, cache_hits = 0, cache_lookups = 0;
-  long mode_hits = 0, mode_lookups = 0, sched_hits = 0, sched_lookups = 0;
+  long mode_hits = 0, mode_lookups = 0;
   int generations = 0;
   double elapsed = 0.0;
   for (auto& island : islands_) {
@@ -276,8 +272,6 @@ SynthesisResult IslandGa::run(
     cache_lookups += island->ga.cache_lookups();
     mode_hits += island->ga.mode_cache().hits();
     mode_lookups += island->ga.mode_cache().lookups();
-    sched_hits += island->ga.mode_cache().schedule_hits();
-    sched_lookups += island->ga.mode_cache().schedule_lookups();
     generations = std::max(generations, island->st.generation);
     elapsed = std::max(elapsed, island->ga.loop_elapsed(island->st));
   }
@@ -286,8 +280,6 @@ SynthesisResult IslandGa::run(
   result.cache_lookups = cache_lookups;
   result.mode_cache_hits = mode_hits;
   result.mode_cache_lookups = mode_lookups;
-  result.schedule_cache_hits = sched_hits;
-  result.schedule_cache_lookups = sched_lookups;
   result.generations = generations;
   result.elapsed_seconds = elapsed;
   return result;

@@ -86,12 +86,6 @@ public:
   /// Index of the champion island of the last run() (0 before any run).
   [[nodiscard]] int champion_index() const { return champion_; }
 
-  /// The champion island's warm per-mode memo, for the synthesis driver's
-  /// final fine-DVS evaluation (see MappingGa::mode_cache). Valid after
-  /// run(); island caches are fully partitioned — no island ever reads
-  /// another island's memo, so per-island replay stays self-contained.
-  [[nodiscard]] ModeEvalCache& champion_mode_cache();
-
 private:
   struct Island;
 

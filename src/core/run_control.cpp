@@ -23,10 +23,7 @@ namespace {
 // the version gates format evolution.
 constexpr char kMagic[8] = {'M', 'M', 'S', 'Y', 'N', 'C', 'K', 'P'};
 // v2: appended the per-mode evaluation memo (keys + results + counters).
-// v3: appended the schedule-stage tier of the same memo (keys + schedule
-// artifacts + counters). Older files are rejected up front — without the
-// stage store and its counters a resumed run could not replay the
-// stage-level hit accounting bit-identically.
+// v3: appended a schedule-stage tier of the same memo.
 // v4: every file is an island container — config header (island count,
 // migration schedule, next barrier) followed by one length-prefixed
 // GaSnapshot per island; a single-population save is the one-island
@@ -34,7 +31,12 @@ constexpr char kMagic[8] = {'M', 'M', 'S', 'Y', 'N', 'C', 'K', 'P'};
 // v5: ModeEvaluation gained the power-model breakdown fields
 // (baseline_static_power, idle_energy_saved, wake_energy, temperature),
 // serialized after `routable`.
-constexpr std::uint32_t kVersion = 5;
+// v6: dropped the schedule-stage tier again; the per-mode memo is the
+// last section of each GaSnapshot. The best individual is stored only
+// when has_best is set (v5 wrote an empty genome for a missing best,
+// which the reader then misparsed).
+// Any other version is rejected up front.
+constexpr std::uint32_t kVersion = 6;
 
 class Writer {
 public:
@@ -210,50 +212,6 @@ ModeEvaluation read_mode_evaluation(Reader& r) {
   return m;
 }
 
-void write_mode_schedule(Writer& w, const ModeSchedule& s) {
-  w.u64(s.tasks.size());
-  for (const ScheduledTask& t : s.tasks) {
-    w.i32(t.task.value());
-    w.i32(t.pe.value());
-    w.i32(t.core_instance);
-    w.f64(t.start);
-    w.f64(t.finish);
-  }
-  w.u64(s.comms.size());
-  for (const ScheduledComm& c : s.comms) {
-    w.i32(c.edge.value());
-    w.i32(c.cl.value());
-    w.boolean(c.local);
-    w.f64(c.start);
-    w.f64(c.finish);
-  }
-  w.f64(s.makespan);
-  w.boolean(s.routable);
-}
-
-ModeSchedule read_mode_schedule(Reader& r) {
-  ModeSchedule s;
-  s.tasks.resize(r.u64());
-  for (ScheduledTask& t : s.tasks) {
-    t.task = TaskId{static_cast<TaskId::value_type>(r.i32())};
-    t.pe = PeId{static_cast<PeId::value_type>(r.i32())};
-    t.core_instance = r.i32();
-    t.start = r.f64();
-    t.finish = r.f64();
-  }
-  s.comms.resize(r.u64());
-  for (ScheduledComm& c : s.comms) {
-    c.edge = EdgeId{static_cast<EdgeId::value_type>(r.i32())};
-    c.cl = ClId{static_cast<ClId::value_type>(r.i32())};
-    c.local = r.boolean();
-    c.start = r.f64();
-    c.finish = r.f64();
-  }
-  s.makespan = r.f64();
-  s.routable = r.boolean();
-  return s;
-}
-
 std::string serialize_ga(const GaSnapshot& snapshot) {
   // Genomes are fixed-length per run; store the length once.
   const std::size_t genome_length =
@@ -273,8 +231,10 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   w.i64(snapshot.cache_lookups);
   w.f64(snapshot.elapsed_seconds);
   for (std::uint64_t word : snapshot.rng_state) w.u64(word);
+  // A run stopped before its first evaluation has no best (and an empty
+  // best genome), so the best is stored only when there is one.
   w.boolean(snapshot.has_best);
-  write_individual(w, snapshot.best, snapshot.best.genome.size());
+  if (snapshot.has_best) write_individual(w, snapshot.best, genome_length);
   w.u64(snapshot.population.size());
   for (const SnapshotIndividual& ind : snapshot.population)
     write_individual(w, ind, genome_length);
@@ -287,13 +247,6 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   for (const auto& [key, value] : snapshot.mode_cache) {
     write_mode_key(w, key);
     write_mode_evaluation(w, value);
-  }
-  w.i64(snapshot.schedule_cache_hits);
-  w.i64(snapshot.schedule_cache_lookups);
-  w.u64(snapshot.schedule_cache.size());
-  for (const auto& [key, value] : snapshot.schedule_cache) {
-    write_mode_key(w, key);
-    write_mode_schedule(w, value);
   }
   return w.bytes();
 }
@@ -315,7 +268,7 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   s.elapsed_seconds = r.f64();
   for (std::uint64_t& word : s.rng_state) word = r.u64();
   s.has_best = r.boolean();
-  s.best = read_individual(r, genome_length);
+  if (s.has_best) s.best = read_individual(r, genome_length);
   const std::uint64_t population_count = r.u64();
   s.population.reserve(population_count);
   for (std::uint64_t i = 0; i < population_count; ++i)
@@ -332,15 +285,6 @@ GaSnapshot deserialize_ga(std::string_view payload) {
     ModeEvalKey key = read_mode_key(r);
     ModeEvaluation value = read_mode_evaluation(r);
     s.mode_cache.emplace_back(std::move(key), std::move(value));
-  }
-  s.schedule_cache_hits = r.i64();
-  s.schedule_cache_lookups = r.i64();
-  const std::uint64_t schedule_cache_count = r.u64();
-  s.schedule_cache.reserve(schedule_cache_count);
-  for (std::uint64_t i = 0; i < schedule_cache_count; ++i) {
-    ModeEvalKey key = read_mode_key(r);
-    ModeSchedule value = read_mode_schedule(r);
-    s.schedule_cache.emplace_back(std::move(key), std::move(value));
   }
   if (!r.done()) throw CheckpointError("trailing bytes in payload");
   return s;

@@ -96,11 +96,6 @@ struct GaSnapshot {
   std::vector<std::pair<ModeEvalKey, ModeEvaluation>> mode_cache;
   long mode_cache_hits = 0;
   long mode_cache_lookups = 0;
-  /// Schedule-stage entries of the same memo (insertion order) with their
-  /// counters, so stage-level hits replay across a resume too.
-  std::vector<std::pair<ModeEvalKey, ModeSchedule>> schedule_cache;
-  long schedule_cache_hits = 0;
-  long schedule_cache_lookups = 0;
 };
 
 /// Resumable state of one island-model run (checkpoint format v4; see

@@ -23,29 +23,6 @@ std::uint64_t mode_evaluation_digest(const ModeEvaluation& m) {
   return h.digest();
 }
 
-std::uint64_t mode_schedule_digest(const ModeSchedule& s) {
-  Fnv1a64 h;
-  h.add(static_cast<std::uint64_t>(s.tasks.size()));
-  for (const ScheduledTask& t : s.tasks) {
-    h.add(t.task.value());
-    h.add(t.pe.value());
-    h.add(t.core_instance);
-    h.add(t.start);
-    h.add(t.finish);
-  }
-  h.add(static_cast<std::uint64_t>(s.comms.size()));
-  for (const ScheduledComm& c : s.comms) {
-    h.add(c.edge.value());
-    h.add(c.cl.value());
-    h.add(c.local);
-    h.add(c.start);
-    h.add(c.finish);
-  }
-  h.add(s.makespan);
-  h.add(s.routable);
-  return h.digest();
-}
-
 bool equal_mode_evaluations(const ModeEvaluation& a, const ModeEvaluation& b) {
   return a.dyn_energy == b.dyn_energy && a.dyn_power == b.dyn_power &&
          a.static_power == b.static_power &&

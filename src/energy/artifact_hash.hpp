@@ -1,18 +1,16 @@
 // Shared field-by-field hashing and exact equality of the per-mode
 // pipeline artifacts.
 //
-// The mode cache's self-healing digests and the auditor's stage-replay /
-// cache-invariant comparisons used to each enumerate the ModeEvaluation
-// and ModeSchedule fields independently — a new field silently dropped
-// from one copy would weaken the digest or the replay check without any
-// test noticing. This header is the single enumeration both consume:
-// the digests cover exactly the fields the equality predicates compare
-// (the optional retained schedule excluded — memoised whole-mode entries
-// never carry one, and the auditor replays schedules separately).
+// The mode cache's self-healing digest and the auditor's stage-replay /
+// cache-invariant comparisons share this one field enumeration, so a
+// field dropped from one cannot silently weaken the other: the digest
+// covers exactly the fields equal_mode_evaluations compares (the
+// optional retained schedule excluded — memoised entries never carry
+// one, and the auditor compares schedules with equal_mode_schedules).
 //
-// Stability: the digests are in-memory integrity checks, recomputed on
+// Stability: the digest is an in-memory integrity check, recomputed on
 // every cache insert (checkpoints store values, not digests), so the
-// definition may evolve with the structs — but within one build it must
+// definition may evolve with the struct — but within one build it must
 // be deterministic across calls and processes, which the hash-stability
 // test pins.
 #pragma once
@@ -27,14 +25,11 @@ namespace mmsyn {
 /// FNV-1a digest of every compared ModeEvaluation field.
 [[nodiscard]] std::uint64_t mode_evaluation_digest(const ModeEvaluation& m);
 
-/// FNV-1a digest of every compared ModeSchedule field.
-[[nodiscard]] std::uint64_t mode_schedule_digest(const ModeSchedule& s);
-
 /// Exact (bitwise) equality over the digested ModeEvaluation fields.
 [[nodiscard]] bool equal_mode_evaluations(const ModeEvaluation& a,
                                           const ModeEvaluation& b);
 
-/// Exact (bitwise) equality over the digested ModeSchedule fields.
+/// Exact (bitwise) equality over every ModeSchedule field.
 [[nodiscard]] bool equal_mode_schedules(const ModeSchedule& a,
                                         const ModeSchedule& b);
 

@@ -15,36 +15,17 @@
 namespace mmsyn {
 namespace {
 
-// Failpoint on memo insertion, shared by both cache tiers. `corrupt`
-// poisons the stored copy *after* its digest is taken (a deterministic
-// bit flip in the hottest scalar), so the next lookup of that key fails
-// verification and quarantines the entry; `fail` drops the insert — a
-// lost memo entry is recomputed on the next miss, also self-healing.
+// Failpoint on memo insertion. `corrupt` poisons the stored copy *after*
+// its digest is taken (a deterministic bit flip in the hottest scalar),
+// so the next lookup of that key fails verification and quarantines the
+// entry. `fail` drops the insert instead of throwing: a memo insert has
+// no caller-side retry (the value is already computed), and a lost entry
+// is recomputed on the next miss, also self-healing.
 failpoint::Site fp_cache_insert{"cache.insert"};
 
 // Self-healing digests live in energy/artifact_hash.hpp — one shared
 // field enumeration with the auditor's equality checks, so a new
 // ModeEvaluation field can't silently drop out of either.
-
-enum class InsertFault : std::uint8_t { kProceed, kSkip, kCorrupt };
-
-/// Maps a cache.insert firing onto the insert-specific semantics above.
-/// `fail` becomes a skipped insert rather than an exception: a memo
-/// insert has no caller-side retry (the value is already computed), and
-/// dropping it is exactly as recoverable.
-InsertFault cache_insert_fault() {
-  switch (fp_cache_insert.hit()) {
-    case failpoint::Action::kNone:
-      return InsertFault::kProceed;
-    case failpoint::Action::kFail:
-      return InsertFault::kSkip;
-    case failpoint::Action::kKill:
-      std::_Exit(failpoint::kKillExitCode);
-    case failpoint::Action::kCorrupt:
-      return InsertFault::kCorrupt;
-  }
-  return InsertFault::kProceed;
-}
 
 }  // namespace
 
@@ -88,56 +69,22 @@ void ModeEvalCache::insert(const ModeEvalKey& key,
   // the eviction loop first would evict the FIFO head and then fail the
   // emplace, shrinking the cache and losing an innocent entry.
   if (map_.find(key) != map_.end()) return;
-  const InsertFault fault = cache_insert_fault();
-  if (fault == InsertFault::kSkip) return;
+  const failpoint::Action fault = fp_cache_insert.hit();
+  if (fault == failpoint::Action::kKill) std::_Exit(failpoint::kKillExitCode);
+  if (fault == failpoint::Action::kFail) return;
   if (capacity_ > 0) {
     while (map_.size() >= capacity_ && !order_.empty()) {
       map_.erase(order_.front());
       order_.pop_front();
     }
   }
-  Stored<ModeEvaluation> stored{value, mode_evaluation_digest(value)};
-  if (fault == InsertFault::kCorrupt)
+  Stored stored{value, mode_evaluation_digest(value)};
+  if (fault == failpoint::Action::kCorrupt)
     stored.value.dyn_energy =
         std::bit_cast<double>(std::bit_cast<std::uint64_t>(
                                   stored.value.dyn_energy) ^ 1u);
   map_.emplace(key, std::move(stored));
   order_.push_back(key);
-}
-
-const ModeSchedule* ModeEvalCache::find_schedule(const ModeEvalKey& key) {
-  ++schedule_lookups_;
-  const auto it = schedule_map_.find(key);
-  if (it == schedule_map_.end()) return nullptr;
-  if (mode_schedule_digest(it->second.value) != it->second.digest) {
-    ++schedule_quarantined_;
-    schedule_order_.erase(
-        std::find(schedule_order_.begin(), schedule_order_.end(), key));
-    schedule_map_.erase(it);
-    return nullptr;
-  }
-  ++schedule_hits_;
-  return &it->second.value;
-}
-
-void ModeEvalCache::insert_schedule(const ModeEvalKey& key,
-                                    const ModeSchedule& value) {
-  // Same duplicate-before-eviction ordering as insert().
-  if (schedule_map_.find(key) != schedule_map_.end()) return;
-  const InsertFault fault = cache_insert_fault();
-  if (fault == InsertFault::kSkip) return;
-  if (capacity_ > 0) {
-    while (schedule_map_.size() >= capacity_ && !schedule_order_.empty()) {
-      schedule_map_.erase(schedule_order_.front());
-      schedule_order_.pop_front();
-    }
-  }
-  Stored<ModeSchedule> stored{value, mode_schedule_digest(value)};
-  if (fault == InsertFault::kCorrupt && !stored.value.tasks.empty())
-    stored.value.makespan = std::bit_cast<double>(
-        std::bit_cast<std::uint64_t>(stored.value.makespan) ^ 1u);
-  schedule_map_.emplace(key, std::move(stored));
-  schedule_order_.push_back(key);
 }
 
 std::vector<std::pair<ModeEvalKey, ModeEvaluation>> ModeEvalCache::entries()
@@ -146,15 +93,6 @@ std::vector<std::pair<ModeEvalKey, ModeEvaluation>> ModeEvalCache::entries()
   out.reserve(order_.size());
   for (const ModeEvalKey& key : order_)
     out.emplace_back(key, map_.at(key).value);
-  return out;
-}
-
-std::vector<std::pair<ModeEvalKey, ModeSchedule>>
-ModeEvalCache::schedule_entries() const {
-  std::vector<std::pair<ModeEvalKey, ModeSchedule>> out;
-  out.reserve(schedule_order_.size());
-  for (const ModeEvalKey& key : schedule_order_)
-    out.emplace_back(key, schedule_map_.at(key).value);
   return out;
 }
 
@@ -168,27 +106,12 @@ void ModeEvalCache::restore(
   lookups_ = lookups;
 }
 
-void ModeEvalCache::restore_schedules(
-    std::vector<std::pair<ModeEvalKey, ModeSchedule>> entries, long hits,
-    long lookups) {
-  schedule_map_.clear();
-  schedule_order_.clear();
-  for (auto& [key, value] : entries) insert_schedule(key, value);
-  schedule_hits_ = hits;
-  schedule_lookups_ = lookups;
-}
-
 void ModeEvalCache::clear() {
   map_.clear();
   order_.clear();
-  schedule_map_.clear();
-  schedule_order_.clear();
   hits_ = 0;
   lookups_ = 0;
-  schedule_hits_ = 0;
-  schedule_lookups_ = 0;
   quarantined_ = 0;
-  schedule_quarantined_ = 0;
 }
 
 Evaluator::Evaluator(const System& system, EvaluationOptions options)
@@ -198,6 +121,12 @@ Evaluator::Evaluator(const System& system, EvaluationOptions options)
                                         options_.use_dvs, options_.dvs,
                                         options_.keep_schedules,
                                         options_.profiler, options_.power}) {
+  // Finalize on this thread: the pool threads that later read the graphs
+  // (core allocation, scheduling) must find the adjacency already built.
+  for (const Mode& mode : system.omsm.modes())
+    if (!mode.graph.finalize())
+      throw std::invalid_argument("mode '" + mode.name +
+                                  "': task graph is cyclic");
   true_probs_ = system.omsm.probabilities();
   if (options_.weight_override.empty()) {
     weights_ = true_probs_;
@@ -225,17 +154,6 @@ ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
   ModeEvalKey key;
   key.mode = static_cast<std::uint32_t>(m);
   key.options_fingerprint = pipeline_.evaluation_fingerprint();
-  key.task_to_pe = mapping.modes[m].task_to_pe;
-  key.cores = cores.per_mode[m];
-  return key;
-}
-
-ModeEvalKey Evaluator::schedule_key(std::size_t m,
-                                    const MultiModeMapping& mapping,
-                                    const CoreAllocation& cores) const {
-  ModeEvalKey key;
-  key.mode = static_cast<std::uint32_t>(m);
-  key.options_fingerprint = pipeline_.schedule_fingerprint();
   key.task_to_pe = mapping.modes[m].task_to_pe;
   key.cores = cores.per_mode[m];
   return key;
@@ -315,47 +233,18 @@ Evaluation Evaluator::evaluate(const MultiModeMapping& mapping,
 Evaluation Evaluator::evaluate(const MultiModeMapping& mapping,
                                const CoreAllocation& cores,
                                ModeEvalCache* cache) const {
-  if (cache == nullptr) return evaluate(mapping, cores);
+  if (cache == nullptr || options_.keep_schedules)
+    return evaluate(mapping, cores);
   std::vector<ModeEvaluation> modes;
   modes.reserve(system_.omsm.mode_count());
   for (std::size_t m = 0; m < system_.omsm.mode_count(); ++m) {
-    // Whole-mode store first — but only when the result needs no schedule:
-    // cached ModeEvaluations carry none, so keep_schedules skips this tier.
-    const bool use_eval_store = !options_.keep_schedules;
-    if (use_eval_store) {
-      const ModeEvalKey key = mode_key(m, mapping, cores);
-      if (const ModeEvaluation* hit = cache->find(key)) {
-        modes.push_back(*hit);
-        continue;
-      }
-      // Whole-mode miss: resume from the schedule artifact when stages
-      // 1–2 already ran for this key (e.g. under different DVS knobs).
-      const ModeEvalKey skey = schedule_key(m, mapping, cores);
-      if (const ModeSchedule* sched = cache->find_schedule(skey)) {
-        modes.push_back(
-            pipeline_.evaluate_scheduled(m, mapping.modes[m], *sched));
-      } else {
-        ModeSchedule fresh = pipeline_.build_schedule(m, mapping.modes[m],
-                                                      cores.per_mode[m]);
-        cache->insert_schedule(skey, fresh);
-        modes.push_back(pipeline_.evaluate_scheduled(m, mapping.modes[m],
-                                                     std::move(fresh)));
-      }
-      cache->insert(key, modes.back());
+    const ModeEvalKey key = mode_key(m, mapping, cores);
+    if (const ModeEvaluation* hit = cache->find(key)) {
+      modes.push_back(*hit);
       continue;
     }
-    // keep_schedules: only the schedule store applies.
-    const ModeEvalKey skey = schedule_key(m, mapping, cores);
-    if (const ModeSchedule* sched = cache->find_schedule(skey)) {
-      modes.push_back(
-          pipeline_.evaluate_scheduled(m, mapping.modes[m], *sched));
-    } else {
-      ModeSchedule fresh = pipeline_.build_schedule(m, mapping.modes[m],
-                                                    cores.per_mode[m]);
-      cache->insert_schedule(skey, fresh);
-      modes.push_back(pipeline_.evaluate_scheduled(m, mapping.modes[m],
-                                                   std::move(fresh)));
-    }
+    modes.push_back(evaluate_mode(m, mapping, cores));
+    cache->insert(key, modes.back());
   }
   return assemble(mapping, cores, std::move(modes));
 }

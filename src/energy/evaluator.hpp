@@ -17,11 +17,8 @@
 // per-mode pipeline, and crossover/mutation usually change only a few
 // modes' gene slices. `evaluate_mode` exposes one mode's pipeline as a
 // pure function of that mode's exact inputs, `mode_key` captures those
-// inputs as a hashable key, and `ModeEvalCache` memoises results at two
-// granularities: whole-mode evaluations, and the intermediate schedule
-// artifact keyed by only the stage-1/2 inputs — so a change that merely
-// perturbs voltage-relevant state reuses the schedule and re-runs only
-// serialization/DVS/aggregation (see DESIGN.md §10–§11).
+// inputs as a hashable key, and `ModeEvalCache` memoises whole-mode
+// results under that key (see DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -116,13 +113,11 @@ struct Evaluation {
 /// stages read for that mode — its task→PE gene slice, the core sets
 /// loaded in that mode (the allocation slice; for ASICs this folds in
 /// demand from *other* modes, which is why it must be part of the key),
-/// and a fingerprint of the options the keyed stages read. Whole-mode
-/// entries use the evaluation fingerprint (scheduler + DVS backend +
-/// knobs); schedule-stage entries use the schedule fingerprint (scheduler
-/// backend only). Everything else (architecture, technology library, task
-/// graphs) is fixed per system. Equality is exact, so a hash collision
-/// can never change a result — the unordered_map resolves it through full
-/// key comparison.
+/// and the evaluation fingerprint of the options the stages read
+/// (scheduler + DVS backend + knobs + power backend). Everything else
+/// (architecture, technology library, task graphs) is fixed per system.
+/// Equality is exact, so a hash collision can never change a result —
+/// the unordered_map resolves it through full key comparison.
 struct ModeEvalKey {
   std::uint32_t mode = 0;
   std::uint64_t options_fingerprint = 0;
@@ -136,15 +131,11 @@ struct ModeEvalKeyHash {
   std::size_t operator()(const ModeEvalKey& key) const;
 };
 
-/// Bounded FIFO memo of per-mode pipeline results at two granularities:
-/// whole-mode evaluations (find/insert) and stage-2 schedule artifacts
-/// (find_schedule/insert_schedule), each with its own FIFO, counters and
-/// the shared capacity bound. Not thread-safe: callers that evaluate
-/// concurrently must confine lookups/insertions to a serial phase (see
-/// MappingGa::evaluate_batch). A cached value is bitwise-identical to a
-/// cold evaluation — whole-mode entries store the complete ModeEvaluation
-/// the pipeline produced, schedule entries the exact ModeSchedule, and
-/// replays run the same downstream stage code a cold evaluation runs.
+/// Bounded FIFO memo of whole-mode pipeline results. Not thread-safe:
+/// callers that evaluate concurrently must confine lookups/insertions to
+/// a serial phase (see MappingGa::evaluate_batch). A cached value is
+/// bitwise-identical to a cold evaluation — entries store the complete
+/// ModeEvaluation the pipeline produced.
 ///
 /// Self-healing: every entry carries an FNV-1a digest of its value,
 /// verified on lookup. An entry whose bytes no longer match (bit rot, a
@@ -164,13 +155,6 @@ public:
   /// Inserts (FIFO-evicting at capacity); duplicate keys are ignored.
   void insert(const ModeEvalKey& key, const ModeEvaluation& value);
 
-  /// Schedule-stage lookup (separate store and counters); the returned
-  /// pointer is invalidated by the next insert_schedule().
-  [[nodiscard]] const ModeSchedule* find_schedule(const ModeEvalKey& key);
-
-  /// Inserts a schedule artifact (FIFO-evicting at capacity).
-  void insert_schedule(const ModeEvalKey& key, const ModeSchedule& value);
-
   /// Accounts one extra hit. Batch evaluators that dedup in-flight keys
   /// call this for an aliased lookup — the one-at-a-time execution they
   /// mirror would have found the entry its preceding job inserted.
@@ -178,67 +162,43 @@ public:
 
   [[nodiscard]] long hits() const { return hits_; }
   [[nodiscard]] long lookups() const { return lookups_; }
-  [[nodiscard]] long schedule_hits() const { return schedule_hits_; }
-  [[nodiscard]] long schedule_lookups() const { return schedule_lookups_; }
-  /// Entries evicted by a failed digest check, per store.
+  /// Entries evicted by a failed digest check.
   [[nodiscard]] long quarantined() const { return quarantined_; }
-  [[nodiscard]] long schedule_quarantined() const {
-    return schedule_quarantined_;
-  }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
-  [[nodiscard]] std::size_t schedule_size() const {
-    return schedule_map_.size();
-  }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Whole-mode entries in insertion (FIFO) order, for checkpoints.
+  /// Entries in insertion (FIFO) order, for checkpoints.
   [[nodiscard]] std::vector<std::pair<ModeEvalKey, ModeEvaluation>>
   entries() const;
 
-  /// Schedule-stage entries in insertion (FIFO) order, for checkpoints.
-  [[nodiscard]] std::vector<std::pair<ModeEvalKey, ModeSchedule>>
-  schedule_entries() const;
-
-  /// Restores the whole-mode store: contents in insertion order plus the
-  /// counters, so a resumed run's statistics continue exactly where they
-  /// left off. The schedule store is untouched.
+  /// Restores contents in insertion order plus the counters, so a resumed
+  /// run's statistics continue exactly where they left off.
   void restore(std::vector<std::pair<ModeEvalKey, ModeEvaluation>> entries,
                long hits, long lookups);
-
-  /// Restores the schedule-stage store and its counters; the whole-mode
-  /// store is untouched.
-  void restore_schedules(
-      std::vector<std::pair<ModeEvalKey, ModeSchedule>> entries, long hits,
-      long lookups);
 
   void clear();
 
 private:
   /// A cached value plus the digest of the bytes that were stored, so a
   /// later lookup can prove the entry is still what insert() computed.
-  template <typename T>
   struct Stored {
-    T value;
+    ModeEvaluation value;
     std::uint64_t digest = 0;
   };
 
   std::size_t capacity_;
   long hits_ = 0;
   long lookups_ = 0;
-  long schedule_hits_ = 0;
-  long schedule_lookups_ = 0;
   long quarantined_ = 0;
-  long schedule_quarantined_ = 0;
-  std::unordered_map<ModeEvalKey, Stored<ModeEvaluation>, ModeEvalKeyHash>
-      map_;
+  std::unordered_map<ModeEvalKey, Stored, ModeEvalKeyHash> map_;
   std::deque<ModeEvalKey> order_;  // insertion order for FIFO eviction
-  std::unordered_map<ModeEvalKey, Stored<ModeSchedule>, ModeEvalKeyHash>
-      schedule_map_;
-  std::deque<ModeEvalKey> schedule_order_;
 };
 
 /// Evaluates candidates against one system. The system reference must
-/// outlive the evaluator.
+/// outlive the evaluator. Construction finalizes every mode's task graph
+/// on the constructing thread, so the graphs' lazily built adjacency is
+/// never first built concurrently by pool threads; a cyclic graph throws
+/// std::invalid_argument naming its mode.
 ///
 /// Thread safety: `evaluate(mapping, cores)`, `evaluate_mode`, `mode_key`
 /// and `assemble` are pure — they read only the immutable
@@ -257,15 +217,11 @@ public:
   [[nodiscard]] Evaluation evaluate(const MultiModeMapping& mapping,
                                     const CoreAllocation& cores) const;
 
-  /// Full evaluation through the per-mode memo: modes whose whole-mode
-  /// key is cached skip the pipeline entirely; on a whole-mode miss a
-  /// cached schedule artifact skips stages 1–2 and re-runs only
-  /// serialization/DVS/aggregation. Bitwise-identical to the cache-less
-  /// overload. A null cache falls back to the cold path. Under
-  /// options().keep_schedules the whole-mode store is bypassed (its
-  /// entries carry no schedules) but the schedule store is still used —
-  /// this is how the final fine-DVS evaluation reuses the GA's schedule
-  /// artifacts across DVS-option boundaries.
+  /// Full evaluation through the per-mode memo: modes whose key is
+  /// cached skip the pipeline entirely, misses run it and are inserted.
+  /// Bitwise-identical to the cache-less overload. A null cache, or
+  /// options().keep_schedules (cached entries carry no schedules), takes
+  /// the cold path and leaves the cache untouched.
   [[nodiscard]] Evaluation evaluate(const MultiModeMapping& mapping,
                                     const CoreAllocation& cores,
                                     ModeEvalCache* cache) const;
@@ -276,18 +232,11 @@ public:
       std::size_t m, const MultiModeMapping& mapping,
       const CoreAllocation& cores) const;
 
-  /// Whole-mode cache key of mode `m` under this evaluator's options.
-  /// Two equal keys are guaranteed identical pipeline results.
+  /// Cache key of mode `m` under this evaluator's options. Two equal
+  /// keys are guaranteed identical pipeline results.
   [[nodiscard]] ModeEvalKey mode_key(std::size_t m,
                                      const MultiModeMapping& mapping,
                                      const CoreAllocation& cores) const;
-
-  /// Schedule-stage cache key of mode `m`: same slice inputs, but
-  /// fingerprinting only the options stages 1–2 read — equal keys across
-  /// evaluators with different DVS settings name the same schedule.
-  [[nodiscard]] ModeEvalKey schedule_key(std::size_t m,
-                                         const MultiModeMapping& mapping,
-                                         const CoreAllocation& cores) const;
 
   /// Cross-mode aggregation: Eq. 1 weighted powers, the per-period
   /// timing penalty, area usage/violations (max-over-modes for FPGAs) and
@@ -304,16 +253,11 @@ public:
   [[nodiscard]] const ModePipeline& pipeline() const { return pipeline_; }
 
   /// FNV-1a fingerprint of the options that shape a per-mode result
-  /// (DVS settings, scheduling policy); baked into every whole-mode
-  /// ModeEvalKey so a cache snapshot can never be replayed under
-  /// different options.
+  /// (DVS settings, scheduling policy, non-reference power backend);
+  /// baked into every ModeEvalKey so a cache snapshot can never be
+  /// replayed under different options.
   [[nodiscard]] std::uint64_t options_fingerprint() const {
     return pipeline_.evaluation_fingerprint();
-  }
-
-  /// Fingerprint of the schedule-stage inputs (scheduler backend only).
-  [[nodiscard]] std::uint64_t schedule_fingerprint() const {
-    return pipeline_.schedule_fingerprint();
   }
 
   /// The weights entering the optimisation objective (true Ψ or override),

@@ -11,10 +11,10 @@
 //
 // (ModeSchedule lives in sched/schedule.hpp; it predates the pipeline.)
 // Artifacts are immutable by convention: stages take their inputs by
-// const reference and return fresh values, so a cached artifact can be
+// const reference and return fresh values, so an artifact can be
 // replayed into the downstream stages at any time and yield bitwise the
-// same result as a cold run — the property the stage-granular cache and
-// the audit layer's stage replay both rest on (DESIGN.md §11).
+// same result as a cold run — the property the audit layer's stage
+// replay rests on (DESIGN.md §11).
 #pragma once
 
 #include <optional>

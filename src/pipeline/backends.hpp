@@ -52,4 +52,14 @@ struct DvsBackendInfo {
 [[nodiscard]] std::string scheduler_backend_list();
 [[nodiscard]] std::string dvs_backend_list();
 
+/// The names of any backend registry (scheduler, DVS or power), in
+/// registry order — the choices of a command-line flag.
+template <typename Registry>
+[[nodiscard]] std::vector<std::string> backend_names(
+    const Registry& backends) {
+  std::vector<std::string> names;
+  for (const auto& b : backends) names.emplace_back(b.name);
+  return names;
+}
+
 }  // namespace mmsyn

@@ -27,9 +27,6 @@ namespace mmsyn {
 
 ModePipeline::ModePipeline(const System& system, PipelineOptions options)
     : system_(system), options_(options) {
-  // Stage 1–2 inputs: the scheduler backend alone.
-  schedule_fingerprint_ =
-      Fnv1a64().add(static_cast<int>(options_.scheduling_policy)).digest();
   // Full per-mode inputs. The field sequence is the pre-pipeline
   // evaluator's options fingerprint, kept stable so cache keys and GA
   // state fingerprints carry over unchanged.
@@ -44,9 +41,7 @@ ModePipeline::ModePipeline(const System& system, PipelineOptions options)
   // The reference power model contributes nothing (a null pointer and an
   // explicit `paper` hash identically, and pre-power-registry keys carry
   // over); any other backend folds its identity + knobs in, so e.g. a
-  // thermal result can never be served from a paper cache entry. Power
-  // is a stage-3..5 concern: the schedule fingerprint stays power-free
-  // and schedule artifacts remain shareable across power backends.
+  // thermal result can never be served from a paper cache entry.
   if (!reference_power(options_.power)) h.add(options_.power->fingerprint());
   evaluation_fingerprint_ = h.digest();
 }

@@ -10,15 +10,12 @@
 //
 // `run` executes 1→5; `build_schedule` (1–2) and `evaluate_scheduled`
 // (3–5) split the chain at the ModeSchedule artifact — the boundary the
-// stage-granular cache resumes from. Both the cold path and every cached
-// path execute the same stage functions in the same order, so a cache hit
-// is bitwise-indistinguishable from a recompute by construction.
+// auditor's stage replay checks. `run` is defined as their composition,
+// so a replay is bitwise-indistinguishable from a run by construction.
 //
-// Fingerprints: `schedule_fingerprint` covers exactly the options stages
-// 1–2 read (the scheduler backend), `evaluation_fingerprint` additionally
-// covers stages 3–5 (the DVS backend and its knobs). A schedule artifact
-// keyed by {mode, schedule_fingerprint, task_to_pe, cores} is therefore
-// reusable across runs that differ only in voltage-relevant state.
+// Fingerprint: `evaluation_fingerprint` covers every option the stages
+// read (scheduler backend, DVS backend and knobs, power backend); it is
+// the options part of the per-mode cache key (energy/evaluator.hpp).
 //
 // Thread safety: all stage methods are const and pure apart from the
 // optional profiler, which accumulates with relaxed atomics; one pipeline
@@ -56,10 +53,9 @@ struct PipelineOptions {
   PipelineProfiler* profiler = nullptr;
   /// Power-model backend (stages 4–5; see power/power_model.hpp). Null
   /// selects the pinned `paper` reference model — bit-identical to the
-  /// pre-registry behaviour and absent from every fingerprint, exactly
-  /// like an explicit reference model. Non-reference models fold their
-  /// fingerprint into the evaluation fingerprint only; schedule
-  /// artifacts stay shareable across power backends.
+  /// pre-registry behaviour and absent from the fingerprint, exactly like
+  /// an explicit reference model. Non-reference models fold their
+  /// fingerprint into the evaluation fingerprint.
   const PowerModel* power = nullptr;
 };
 
@@ -91,7 +87,7 @@ public:
                                         ModeSchedule schedule) const;
 
   // ---- Composites. -----------------------------------------------------
-  /// Stages 1–2: the schedule artifact (the stage-cache boundary).
+  /// Stages 1–2: the schedule artifact.
   [[nodiscard]] ModeSchedule build_schedule(
       std::size_t m, const ModeMapping& mapping,
       const std::vector<CoreSet>& hw_cores) const;
@@ -104,12 +100,8 @@ public:
   [[nodiscard]] ModeEvaluation run(std::size_t m, const ModeMapping& mapping,
                                    const std::vector<CoreSet>& hw_cores) const;
 
-  /// FNV-1a over the options stages 1–2 read (scheduler backend only).
-  [[nodiscard]] std::uint64_t schedule_fingerprint() const {
-    return schedule_fingerprint_;
-  }
   /// FNV-1a over everything that shapes a ModeEvaluation (scheduler
-  /// backend + DVS backend + DVS knobs).
+  /// backend + DVS backend + DVS knobs + non-reference power backend).
   [[nodiscard]] std::uint64_t evaluation_fingerprint() const {
     return evaluation_fingerprint_;
   }
@@ -119,7 +111,6 @@ public:
 private:
   const System& system_;
   PipelineOptions options_;
-  std::uint64_t schedule_fingerprint_ = 0;
   std::uint64_t evaluation_fingerprint_ = 0;
 };
 

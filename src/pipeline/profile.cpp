@@ -17,9 +17,7 @@ const char* to_string(PipelineStage stage) {
   return "?";
 }
 
-std::string PipelineProfiler::table(long eval_hits, long eval_lookups,
-                                    long schedule_hits,
-                                    long schedule_lookups) const {
+std::string PipelineProfiler::table(long eval_hits, long eval_lookups) const {
   constexpr PipelineStage kStages[] = {
       PipelineStage::kCommMapping, PipelineStage::kSchedule,
       PipelineStage::kSerialize, PipelineStage::kScale,
@@ -45,14 +43,6 @@ std::string PipelineProfiler::table(long eval_hits, long eval_lookups,
     const double rate =
         eval_lookups > 0 ? static_cast<double>(eval_hits) / eval_lookups : 0.0;
     os << "mode-eval cache: " << eval_hits << "/" << eval_lookups
-       << " hits (" << TextTable::pct(rate) << "%)\n";
-  }
-  if (schedule_lookups >= 0) {
-    const double rate =
-        schedule_lookups > 0
-            ? static_cast<double>(schedule_hits) / schedule_lookups
-            : 0.0;
-    os << "schedule-stage cache: " << schedule_hits << "/" << schedule_lookups
        << " hits (" << TextTable::pct(rate) << "%)\n";
   }
   return os.str();

@@ -59,11 +59,9 @@ public:
   }
 
   /// Renders the per-stage table (calls, total time, share of pipeline
-  /// time) plus the cache hit rates when any lookups were made, via
-  /// common/table. Pass -1 counters to omit a cache row.
-  [[nodiscard]] std::string table(long eval_hits, long eval_lookups,
-                                  long schedule_hits,
-                                  long schedule_lookups) const;
+  /// time) plus the mode-eval cache hit rate, via common/table. Pass -1
+  /// counters to omit the cache row.
+  [[nodiscard]] std::string table(long eval_hits, long eval_lookups) const;
 
 private:
   std::array<std::atomic<long>, kPipelineStageCount> calls_{};

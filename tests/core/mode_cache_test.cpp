@@ -147,18 +147,6 @@ TEST(ModeCache, DuplicateInsertAtCapacityEvictsNothing) {
   EXPECT_EQ(cache.find(key_of(0)), nullptr);
   EXPECT_NE(cache.find(key_of(1)), nullptr);
   EXPECT_NE(cache.find(key_of(2)), nullptr);
-
-  // Same contract on the schedule tier.
-  const ModeSchedule sched{};
-  cache.insert_schedule(key_of(0), sched);
-  cache.insert_schedule(key_of(1), sched);
-  cache.insert_schedule(key_of(0), sched);
-  EXPECT_EQ(cache.schedule_size(), 2u);
-  EXPECT_NE(cache.find_schedule(key_of(0)), nullptr);
-  EXPECT_NE(cache.find_schedule(key_of(1)), nullptr);
-  cache.insert_schedule(key_of(2), sched);
-  EXPECT_EQ(cache.find_schedule(key_of(0)), nullptr);
-  EXPECT_NE(cache.find_schedule(key_of(1)), nullptr);
 }
 
 std::vector<std::uint32_t> entry_order(const ModeEvalCache& cache) {
@@ -167,37 +155,24 @@ std::vector<std::uint32_t> entry_order(const ModeEvalCache& cache) {
   return order;
 }
 
-std::vector<std::uint32_t> schedule_order(const ModeEvalCache& cache) {
-  std::vector<std::uint32_t> order;
-  for (const auto& [key, value] : cache.schedule_entries())
-    order.push_back(key.mode);
-  return order;
-}
-
 TEST(ModeCacheProperty, RestoreRoundTripsBothTiersOrderUnderPressure) {
-  // Property: after any interleaving of inserts — duplicates included —
-  // under constant eviction pressure, checkpointing both tiers
-  // (entries/schedule_entries) and restoring them reproduces the exact
-  // FIFO order, so a resumed run evicts in the same sequence the
-  // uninterrupted run would have.
+  // Property: after any sequence of inserts — duplicates included — under
+  // constant eviction pressure, checkpointing the entries and restoring
+  // them reproduces the exact FIFO order, so a resumed run evicts in the
+  // same sequence the uninterrupted run would have.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     ModeEvalCache cache(/*capacity=*/4);
     auto random_op = [&](ModeEvalCache& c) {
-      const auto key = key_of(
-          static_cast<std::uint32_t>(rng.pick_index(8)));  // dup-heavy
-      if (rng.pick_index(2) == 0) c.insert(key, ModeEvaluation{});
-      else c.insert_schedule(key, ModeSchedule{});
+      c.insert(key_of(static_cast<std::uint32_t>(rng.pick_index(8))),
+               ModeEvaluation{});  // dup-heavy
     };
     for (int i = 0; i < 40; ++i) random_op(cache);
 
     ModeEvalCache clone(/*capacity=*/4);
     clone.restore(cache.entries(), cache.hits(), cache.lookups());
-    clone.restore_schedules(cache.schedule_entries(), cache.schedule_hits(),
-                            cache.schedule_lookups());
     EXPECT_EQ(entry_order(clone), entry_order(cache));
-    EXPECT_EQ(schedule_order(clone), schedule_order(cache));
 
     // The restored clone must keep evicting in lock-step with the
     // original as both receive the same further inserts.
@@ -206,7 +181,6 @@ TEST(ModeCacheProperty, RestoreRoundTripsBothTiersOrderUnderPressure) {
     rng = saved;
     for (int i = 0; i < 20; ++i) random_op(clone);
     EXPECT_EQ(entry_order(clone), entry_order(cache));
-    EXPECT_EQ(schedule_order(clone), schedule_order(cache));
   }
 }
 
@@ -276,29 +250,6 @@ TEST(ModeCache, QuarantinesCorruptedEntryAndRecomputes) {
   EXPECT_EQ(cache.quarantined(), static_cast<long>(poisoned));
   EXPECT_EQ(cache.hits() - hits_before,
             static_cast<long>(system.omsm.mode_count()));
-  expect_evaluations_identical(healed, cold);
-}
-
-TEST(ModeCache, QuarantinesCorruptedScheduleEntry) {
-  const System system = make_mul(3);
-  EvaluationOptions options;
-  options.keep_schedules = true;  // exercises the schedule-store tier
-  const Evaluator evaluator(system, options);
-  const GenomeCodec codec(system);
-  Rng rng(13);
-  const Genome genome = codec.random_genome(rng);
-  const MultiModeMapping mapping = codec.decode(genome);
-  const CoreAllocation cores = build_core_allocation(system, mapping, {});
-  const Evaluation cold = evaluator.evaluate(mapping, cores);
-
-  ModeEvalCache cache;
-  failpoint::arm("cache.insert=corrupt");
-  (void)evaluator.evaluate(mapping, cores, &cache);
-  failpoint::disarm();
-  EXPECT_GT(cache.schedule_size(), 0u);
-
-  const Evaluation healed = evaluator.evaluate(mapping, cores, &cache);
-  EXPECT_GT(cache.schedule_quarantined(), 0);
   expect_evaluations_identical(healed, cold);
 }
 

@@ -98,21 +98,30 @@ TEST(ArtifactHash, RetainedScheduleIsExcludedByContract) {
 }
 
 TEST(ArtifactHash, ScheduleDigestIsStableAcrossCalls) {
+  // Schedules are no longer digested; the auditor's stage replay compares
+  // them with equal_mode_schedules, which must hold for the same value,
+  // for a copy in either order, and for default values, on every call.
   const ModeSchedule s = sample_schedule();
-  EXPECT_EQ(mode_schedule_digest(s), mode_schedule_digest(s));
+  EXPECT_TRUE(equal_mode_schedules(s, s));
   const ModeSchedule copy = s;
-  EXPECT_EQ(mode_schedule_digest(copy), mode_schedule_digest(s));
   EXPECT_TRUE(equal_mode_schedules(copy, s));
+  EXPECT_TRUE(equal_mode_schedules(s, copy));
+  EXPECT_TRUE(equal_mode_schedules(ModeSchedule{}, ModeSchedule{}));
 }
 
 TEST(ArtifactHash, ScheduleDigestCoversEveryComparedField) {
+  // The auditor's stage replay compares schedules with
+  // equal_mode_schedules: each single-field perturbation must make a
+  // schedule unequal.
   const ModeSchedule base = sample_schedule();
   const std::vector<std::function<void(ModeSchedule&)>> perturbations = {
+      [](ModeSchedule& s) { s.tasks[0].task = TaskId{1}; },
       [](ModeSchedule& s) { s.tasks[0].pe = PeId{0}; },
       [](ModeSchedule& s) { s.tasks[0].core_instance = 0; },
       [](ModeSchedule& s) { s.tasks[0].start += 1.0; },
       [](ModeSchedule& s) { s.tasks[0].finish += 1.0; },
       [](ModeSchedule& s) { s.tasks.push_back(s.tasks[0]); },
+      [](ModeSchedule& s) { s.comms[0].edge = EdgeId{1}; },
       [](ModeSchedule& s) { s.comms[0].cl = ClId::invalid(); },
       [](ModeSchedule& s) { s.comms[0].local = !s.comms[0].local; },
       [](ModeSchedule& s) { s.comms[0].start += 1.0; },
@@ -123,8 +132,6 @@ TEST(ArtifactHash, ScheduleDigestCoversEveryComparedField) {
   for (std::size_t i = 0; i < perturbations.size(); ++i) {
     ModeSchedule changed = base;
     perturbations[i](changed);
-    EXPECT_NE(mode_schedule_digest(changed), mode_schedule_digest(base))
-        << "perturbation " << i;
     EXPECT_FALSE(equal_mode_schedules(changed, base))
         << "perturbation " << i;
   }
@@ -135,8 +142,6 @@ TEST(ArtifactHash, DefaultConstructedValuesDigestConsistently) {
   // self-healing check before any field is populated).
   EXPECT_EQ(mode_evaluation_digest(ModeEvaluation{}),
             mode_evaluation_digest(ModeEvaluation{}));
-  EXPECT_EQ(mode_schedule_digest(ModeSchedule{}),
-            mode_schedule_digest(ModeSchedule{}));
   EXPECT_NE(mode_evaluation_digest(ModeEvaluation{}),
             mode_evaluation_digest(sample_evaluation()));
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/allocation_builder.hpp"
+#include "core/cosynth.hpp"
+#include "model/io.hpp"
 #include "model/system.hpp"
 #include "tgff/motivational.hpp"
+#include "tgff/suites.hpp"
 
 namespace mmsyn {
 namespace {
@@ -256,6 +261,51 @@ TEST(EvaluatorPaper, Fig2NumbersExact) {
         evaluator.evaluate(m, build_core_allocation(system, m));
     EXPECT_NEAR(e.avg_power_true * 1e3, 15.7423, 1e-4);
     EXPECT_TRUE(e.feasible());
+  }
+}
+
+// ---- Task-graph finalization at construction. ---------------------------
+
+TEST(EvaluatorFinalize, FinalizesEveryGraphOfAnUnvalidatedParsedSystem) {
+  // Parsing leaves the graphs' adjacency unbuilt until first use; without
+  // validate() that first use would come from the GA's pool threads
+  // (core allocation, scheduling), building it concurrently.
+  const std::string text = system_to_string(make_mul(6));
+  const System system = system_from_string(text);
+  for (const Mode& mode : system.omsm.modes())
+    ASSERT_FALSE(mode.graph.finalized()) << mode.name;
+  const Evaluator evaluator(system, EvaluationOptions{});
+  for (const Mode& mode : system.omsm.modes())
+    EXPECT_TRUE(mode.graph.finalized()) << mode.name;
+
+  // The racy configuration itself: a multi-threaded synthesis of a fresh
+  // unvalidated parse equals the single-threaded one.
+  SynthesisOptions options;
+  options.ga.population_size = 16;
+  options.ga.max_generations = 4;
+  options.ga.num_threads = 4;
+  const SynthesisResult threaded =
+      synthesize(system_from_string(text), options);
+  options.ga.num_threads = 1;
+  const SynthesisResult serial = synthesize(system, options);
+  EXPECT_EQ(threaded.fitness, serial.fitness);
+  EXPECT_EQ(threaded.evaluation.avg_power_true,
+            serial.evaluation.avg_power_true);
+}
+
+TEST(EvaluatorFinalize, CyclicUnvalidatedGraphThrowsNamingItsMode) {
+  System system = system_from_string(system_to_string(make_mul(2)));
+  Mode& mode = system.omsm.mode(ModeId{1});
+  ASSERT_FALSE(mode.graph.edges().empty());
+  const TaskEdge edge = mode.graph.edges().front();
+  mode.graph.add_edge(edge.dst, edge.src, 0.0);
+  try {
+    const Evaluator evaluator(system, EvaluationOptions{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + mode.name + "'"),
+              std::string::npos)
+        << e.what();
   }
 }
 

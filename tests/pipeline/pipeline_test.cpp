@@ -175,7 +175,7 @@ TEST(ModePipelineStages, EvaluatorEvaluateModeIsPipelineRun) {
 }
 
 /// Property: along a chain of random point mutations, evaluating through
-/// the stage-granular cache equals the cache-disabled (legacy whole-run)
+/// the per-mode cache equals the cache-disabled (legacy whole-run)
 /// evaluation bitwise at every step.
 TEST(ModePipelineProperty, StagedEqualsLegacyOnMutationChains) {
   for (const bool use_dvs : {false, true}) {
@@ -199,49 +199,7 @@ TEST(ModePipelineProperty, StagedEqualsLegacyOnMutationChains) {
                                    evaluator.evaluate(mapping, cores, &cache));
     }
     EXPECT_GT(cache.hits(), 0);
-    // The schedule store is probed exactly on whole-mode misses.
-    EXPECT_EQ(cache.schedule_lookups(), cache.lookups() - cache.hits());
   }
-}
-
-/// A schedule artifact cached by a coarse-DVS evaluator is served to a
-/// fine-DVS, keep-schedules evaluator (the cosynth final-evaluation
-/// pattern) without changing a single bit of the result.
-TEST(ModePipelineCache, ScheduleArtifactsCrossDvsOptionBoundaries) {
-  const System system = make_mul(3);
-  EvaluationOptions coarse;
-  coarse.use_dvs = true;
-  coarse.dvs = PvDvsOptions{12, 0.5, 1e-5, true};
-  EvaluationOptions fine;
-  fine.use_dvs = true;
-  fine.keep_schedules = true;
-  const Evaluator coarse_eval(system, coarse);
-  const Evaluator fine_eval(system, fine);
-  // Same scheduler backend, different DVS knobs: the schedule-stage keys
-  // must agree while the whole-mode keys must not.
-  EXPECT_EQ(coarse_eval.schedule_fingerprint(),
-            fine_eval.schedule_fingerprint());
-  EXPECT_NE(coarse_eval.options_fingerprint(),
-            fine_eval.options_fingerprint());
-
-  const GenomeCodec codec(system);
-  Rng rng(5);
-  const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
-  const CoreAllocation cores = build_core_allocation(system, mapping, {});
-
-  ModeEvalCache cache;
-  (void)coarse_eval.evaluate(mapping, cores, &cache);
-  const long seeded = cache.schedule_size();
-  ASSERT_EQ(seeded, static_cast<long>(system.omsm.mode_count()));
-
-  const Evaluation cold = fine_eval.evaluate(mapping, cores);
-  const Evaluation warm = fine_eval.evaluate(mapping, cores, &cache);
-  expect_evaluations_identical(cold, warm);
-  // keep_schedules bypasses the whole-mode store but hits every cached
-  // schedule artifact.
-  EXPECT_EQ(cache.schedule_hits(), seeded);
-  for (std::size_t m = 0; m < warm.modes.size(); ++m)
-    EXPECT_TRUE(warm.modes[m].schedule.has_value());
 }
 
 TEST(ModePipelineBackends, RegistryRoundTripsAndDefaults) {
@@ -282,16 +240,24 @@ TEST(ModePipelineBackends, UnknownNamesThrowActionableErrors) {
   }
 }
 
-/// Distinct scheduler backends change the schedule fingerprint (their
-/// artifacts must never alias in the stage cache).
+/// Distinct scheduler backends, and distinct DVS settings under one
+/// backend (the GA loop's vs the final evaluation's knobs), change the
+/// evaluation fingerprint: their results must never alias in the
+/// per-mode cache.
 TEST(ModePipelineBackends, SchedulerBackendsFingerprintDistinctly) {
   const System system = make_motivational_example1();
   std::vector<std::uint64_t> fps;
   for (const auto& b : scheduler_backends()) {
     PipelineOptions popts;
     popts.scheduling_policy = b.policy;
-    fps.push_back(ModePipeline(system, popts).schedule_fingerprint());
+    fps.push_back(ModePipeline(system, popts).evaluation_fingerprint());
   }
+  PipelineOptions fine;
+  fine.use_dvs = true;
+  PipelineOptions coarse = fine;
+  coarse.dvs = PvDvsOptions{12, 0.5, 1e-5, true};
+  fps.push_back(ModePipeline(system, fine).evaluation_fingerprint());
+  fps.push_back(ModePipeline(system, coarse).evaluation_fingerprint());
   for (std::size_t i = 0; i < fps.size(); ++i)
     for (std::size_t j = i + 1; j < fps.size(); ++j)
       EXPECT_NE(fps[i], fps[j]);
@@ -328,7 +294,7 @@ TEST(ModePipelineProfile, ProfilerCountsWithoutPerturbing) {
     EXPECT_EQ(profiler.stats(s).calls, n);
     EXPECT_GE(profiler.stats(s).seconds, 0.0);
   }
-  const std::string table = profiler.table(1, 2, 3, 4);
+  const std::string table = profiler.table(1, 2);
   for (const char* stage : {"comm-mapping", "schedule", "serialize", "scale",
                             "finalize"})
     EXPECT_NE(table.find(stage), std::string::npos) << table;

@@ -278,8 +278,6 @@ TEST(PowerEvaluator, NullAndPaperShareTheReferenceFingerprint) {
   // The reference model contributes nothing: pre-registry cache keys,
   // checkpoints and GA state fingerprints carry over unchanged.
   EXPECT_EQ(null_eval.options_fingerprint(), paper_eval.options_fingerprint());
-  EXPECT_EQ(null_eval.schedule_fingerprint(),
-            paper_eval.schedule_fingerprint());
 }
 
 TEST(PowerEvaluator, NonReferenceBackendsChangeOnlyTheEvalFingerprint) {
@@ -293,13 +291,10 @@ TEST(PowerEvaluator, NonReferenceBackendsChangeOnlyTheEvalFingerprint) {
   const Evaluator thermal(system, thermal_opts);
   const Evaluator dpm(system, dpm_opts);
 
-  // Whole-mode cache keys must separate per backend...
+  // Cache keys must separate per backend.
   EXPECT_NE(thermal.options_fingerprint(), paper.options_fingerprint());
   EXPECT_NE(dpm.options_fingerprint(), paper.options_fingerprint());
   EXPECT_NE(thermal.options_fingerprint(), dpm.options_fingerprint());
-  // ...while schedule artifacts stay shareable (power is stage-3..5 only).
-  EXPECT_EQ(thermal.schedule_fingerprint(), paper.schedule_fingerprint());
-  EXPECT_EQ(dpm.schedule_fingerprint(), paper.schedule_fingerprint());
 }
 
 TEST(PowerEvaluator, PaperBackendIsBitIdenticalToNull) {

@@ -2,7 +2,8 @@
 # Full CI pass: plain build + tests, a staged-pipeline divergence gate,
 # island determinism + equal-budget quality gates, crash/island torture,
 # an AddressSanitizer(+UBSan) build + tests, a standalone UBSan build +
-# tests, and a ThreadSanitizer pass over a multi-island run. Run from the
+# tests, and ThreadSanitizer passes over the thread-pool tests, a
+# multi-island run and the job server. Run from the
 # repository root:
 #
 #   tools/ci.sh            # everything
@@ -19,11 +20,10 @@ cmake --build build -j "$JOBS"
 echo "== plain ctest =="
 (cd build && ctest --output-on-failure -j 2)
 
-echo "== stage-cache hit rates + pipeline stage profile =="
-# incremental_eval exits nonzero when the cached (staged) run diverges
-# bytewise from the cache-disabled one, so this doubles as the
-# pipeline-vs-legacy divergence gate; --profile adds the per-stage table
-# to the CI summary.
+echo "== mode-cache hit rates + pipeline stage profile =="
+# incremental_eval exits nonzero when the cached run diverges bytewise
+# from the cache-disabled one, so this doubles as the cache divergence
+# gate; --profile adds the per-stage table to the CI summary.
 ./build/bench/incremental_eval --muls 3,6 --population 24 --generations 20 \
   --profile --dvs
 
@@ -234,15 +234,24 @@ echo "== undefined-behaviour-sanitizer power backends =="
 ./build-ubsan/examples/synthesize_file --input "$IN" $ARGS \
   --power=dpm-idle --dvs > /dev/null
 
+echo "== thread-sanitizer build =="
+cmake -B build-tsan -S . -DMMSYN_SANITIZE=thread > /dev/null
+cmake --build build-tsan -j "$JOBS"
+
+echo "== thread-sanitizer thread-pool tests =="
+# The 1-vs-N-thread identity tests drive the batch evaluator's parallel
+# phases, and EvaluatorFinalize runs a multi-threaded synthesis of an
+# unvalidated parsed system (task graphs first touched by the pool unless
+# the Evaluator finalized them). TSan over the full ctest suite would
+# triple CI time for paths ASan already covers.
+(cd build-tsan && ctest --output-on-failure -j 2 \
+  -R 'ParallelEvaluation|RngStreams|EvaluatorFinalize')
+
 echo "== thread-sanitizer island run =="
 # The island coordinator is the one place worker threads exchange state
 # (gather-then-install migration at the generation barriers, shared
 # counters, cooperative stop), so a multi-island run at islands == threads
-# is the racy configuration by construction. TSan over the full ctest
-# suite would triple CI time for paths ASan already covers; this leg pins
-# the concurrency story instead.
-cmake -B build-tsan -S . -DMMSYN_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j "$JOBS"
+# is the racy configuration by construction.
 ./build-tsan/examples/synthesize_file --input "$IN" $ARGS \
   --islands 3 --migration-interval 5 --migrants 2 --threads 3 > /dev/null
 
