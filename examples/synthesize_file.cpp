@@ -9,10 +9,10 @@
 //   synthesize_file --export-mul 6 --output mul6.mmsyn
 //
 // Crash safety: --checkpoint writes a resumable snapshot of the GA every
-// --checkpoint-every generations (and on Ctrl-C / --time-budget expiry);
-// --resume continues a checkpointed run bit-identically to an
-// uninterrupted one with the same flags. An early stop still reports the
-// best implementation found so far (exit code 3).
+// --checkpoint-every generations, after every island migration, and on
+// Ctrl-C / --time-budget expiry; --resume continues a checkpointed run
+// bit-identically to an uninterrupted one with the same flags. An early
+// stop still reports the best implementation found so far (exit code 3).
 #include <cstdio>
 
 #include "audit/auditor.hpp"
@@ -74,20 +74,15 @@ int main(int argc, char** argv) {
   flags.define_int("threads", 1,
                    "fitness-evaluation threads (0 = all cores); the result "
                    "is identical for any value");
-  flags.define_choice("rng", {"threefry", "legacy"},
-                      /*default_value=*/"threefry",
-                      /*implicit_value=*/"threefry",
-                      "GA random-stream engine: counter-based threefry "
-                      "(default) or legacy xoshiro256++ for reproducing "
-                      "pre-v6 runs bit-for-bit");
   flags.define_int("islands", 1,
                    "GA islands (independent populations exchanging elites "
-                   "along a deterministic ring; requires --rng=threefry "
-                   "when > 1)");
+                   "along a deterministic ring; 1 = a single population)");
   flags.define_int("migration-interval", 20,
-                   "generations between island migration barriers");
+                   "generations between island migration barriers "
+                   "(ignored with --islands=1)");
   flags.define_int("migrants", 2,
-                   "elite individuals exchanged per island per barrier");
+                   "elite individuals exchanged per island per barrier "
+                   "(ignored with --islands=1)");
   flags.define_int("mode-cache-capacity", 1 << 16,
                    "per-mode evaluation cache entry cap, FIFO eviction "
                    "(0 = unbounded)");
@@ -197,8 +192,6 @@ int main(int argc, char** argv) {
   options.ga.population_size = static_cast<int>(flags.get_int("population"));
   options.ga.max_generations = static_cast<int>(flags.get_int("generations"));
   options.ga.num_threads = static_cast<int>(flags.get_int("threads"));
-  options.ga.rng = flags.get_string("rng") == "legacy" ? RngKind::kXoshiro
-                                                       : RngKind::kThreefry;
   options.ga.mode_cache_capacity =
       static_cast<std::size_t>(flags.get_int("mode-cache-capacity"));
   options.islands = static_cast<int>(flags.get_int("islands"));
@@ -206,8 +199,9 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("migration-interval"));
   options.migrants = static_cast<int>(flags.get_int("migrants"));
   {
-    // Fail fast on an inconsistent island topology (wrong engine, migrant
-    // count, ...) with the flag-level message instead of a deep throw.
+    // Fail fast on an inconsistent island topology (migration interval,
+    // migrant count, ...) with the flag-level message instead of a deep
+    // throw.
     IslandOptions topology;
     topology.islands = options.islands;
     topology.migration_interval = options.migration_interval;

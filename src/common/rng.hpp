@@ -7,19 +7,16 @@
 //
 //  - kXoshiro: xoshiro256++ (public-domain algorithm by Blackman & Vigna),
 //    the original *stateful* engine. Still the default constructor so the
-//    benchmark generator and every historic stream stay byte-identical,
-//    and selectable in the GA via the `--rng=legacy` compatibility flag.
+//    benchmark generator (src/tgff) and its suite instances stay
+//    byte-identical.
 //  - kThreefry: a Threefry2x64-style *counter-based* engine (Salmon et
 //    al., "Parallel random numbers: as easy as 1, 2, 3"). The n-th draw
 //    is a pure function of (seed, n), so streams can be split, replayed
-//    or leapfrogged across any thread count or future island
-//    decomposition without serialising a hidden state evolution. The GA
-//    defaults to this engine.
+//    or leapfrogged across any thread count or island decomposition
+//    without serialising a hidden state evolution. The GA's only engine.
 //
-// Both engines expose their state as the same 4-word array, so the GA
-// checkpoint format (run_control.hpp, `rng_state`) carries either
-// without a version bump; the engine choice itself is part of the GA's
-// state fingerprint.
+// Both engines expose their state as the same 4-word array, which the GA
+// checkpoint format (run_control.hpp, `rng_state`) stores.
 #pragma once
 
 #include <array>
@@ -159,7 +156,7 @@ public:
   /// checkpoints need no extra field and stream 0 keeps the historic
   /// {.., counter, phase} layout bit-for-bit. The engine kind is *not*
   /// part of the words — callers restore into an Rng of the matching kind
-  /// (the GA guards this via its fingerprint).
+  /// (the GA always uses kThreefry).
   [[nodiscard]] const std::array<std::uint64_t, 4>& state() const {
     return state_;
   }

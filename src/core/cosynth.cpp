@@ -25,12 +25,11 @@ EvaluationOptions make_eval_options(const System& system,
   return eval;
 }
 
-/// The island-sharded route of synthesize(): same shape as the plain
-/// route — build, resume, run, final fine-DVS evaluation — with the
-/// island container checkpoint machinery in place of the single GA's.
-SynthesisResult synthesize_islands(const System& system,
-                                   const SynthesisOptions& options,
-                                   RunControl* control) {
+}  // namespace
+
+SynthesisResult synthesize(const System& system,
+                           const SynthesisOptions& options,
+                           RunControl* control) {
   IslandOptions topology;
   topology.islands = options.islands;
   topology.migration_interval = options.migration_interval;
@@ -41,41 +40,10 @@ SynthesisResult synthesize_islands(const System& system,
   IslandGa ga(system, loop_evaluator, options.fitness, options.allocation,
               options.ga, topology, options.seed);
   if (control && !control->resume_path.empty()) {
-    IslandCheckpointLoadResult loaded = load_island_checkpoint_fallback(
-        control->resume_path, control->checkpoint_keep_generations,
-        ga.state_fingerprint());
-    for (const std::string& note : loaded.notes)
-      control->log_recovery("skipped checkpoint generation: " + note);
-    if (loaded.generation > 0)
-      control->log_recovery("resumed from older generation " +
-                            loaded.loaded_path);
-    ga.restore(loaded.snapshot);
-  }
-  SynthesisResult result = ga.run({}, control);
-
-  // Final (reported) evaluation: fine DVS, schedules kept, true Ψ power.
-  const Evaluator final_evaluator(system,
-                                  make_eval_options(system, options, true));
-  result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
-  return result;
-}
-
-}  // namespace
-
-SynthesisResult synthesize(const System& system,
-                           const SynthesisOptions& options,
-                           RunControl* control) {
-  if (options.islands != 1) return synthesize_islands(system, options, control);
-
-  const Evaluator loop_evaluator(system,
-                                 make_eval_options(system, options, false));
-  MappingGa ga(system, loop_evaluator, options.fitness, options.allocation,
-               options.ga, options.seed);
-  if (control && !control->resume_path.empty()) {
     // Recovery-aware resume: fall back through the kept generations when
     // the newest checkpoint is torn, corrupt, or from a different
     // configuration, and surface each skip in the recovery log.
-    CheckpointLoadResult loaded = load_checkpoint_fallback(
+    LoadedCheckpoint loaded = load_island_checkpoint_fallback(
         control->resume_path, control->checkpoint_keep_generations,
         ga.state_fingerprint());
     for (const std::string& note : loaded.notes)

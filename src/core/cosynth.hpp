@@ -47,12 +47,12 @@ struct SynthesisOptions {
   std::uint64_t seed = 1;
 
   /// Island-model sharding of the GA (see core/island_ga.hpp and
-  /// DESIGN.md §14). 1 island runs the plain single-population GA —
-  /// bit-identically to releases without the island driver; N > 1 evolves
-  /// N independent populations that exchange `migrants` elites every
-  /// `migration_interval` generations along a deterministic ring. The
-  /// topology requires the (default) Threefry engine; `synthesize` throws
-  /// std::invalid_argument with the offending flag otherwise.
+  /// DESIGN.md §14). 1 island is the single-population GA, and the
+  /// migration knobs are then inert; N > 1 evolves N independent
+  /// populations that exchange `migrants` elites every
+  /// `migration_interval` generations along a deterministic ring.
+  /// `synthesize` throws std::invalid_argument naming the offending flag
+  /// when the topology is inconsistent.
   int islands = 1;
   int migration_interval = 20;
   int migrants = 2;

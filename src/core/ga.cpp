@@ -57,7 +57,7 @@ int immigrant_count(double immigrant_fraction, int population_size,
 MappingGa::MappingGa(const System& system, const Evaluator& evaluator,
                      FitnessParams fitness_params,
                      AllocationOptions alloc_options, GaOptions options,
-                     std::uint64_t seed)
+                     std::uint64_t seed, std::uint64_t rng_stream)
     : system_(system),
       evaluator_(evaluator),
       fitness_params_(fitness_params),
@@ -65,7 +65,7 @@ MappingGa::MappingGa(const System& system, const Evaluator& evaluator,
       options_(options),
       codec_(system),
       seed_(seed),
-      rng_(options.rng, seed, options.rng_stream),
+      rng_(RngKind::kThreefry, seed, rng_stream),
       mode_cache_(options.mode_cache_capacity) {
   const int threads = ThreadPool::resolve_thread_count(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
@@ -317,7 +317,7 @@ std::uint64_t MappingGa::state_fingerprint() const {
   // Everything that shapes the trajectory; num_threads is deliberately
   // excluded (evaluation is bit-identical for any thread count).
   Fnv1a64 h;
-  h.add(seed_);
+  h.add(seed_).add(rng_.stream());
   h.add(options_.population_size)
       .add(options_.max_generations)
       .add(options_.stagnation_limit)
@@ -337,9 +337,7 @@ std::uint64_t MappingGa::state_fingerprint() const {
       .add(options_.mode_cache_capacity)
       .add(options_.shutdown_improvement_rate)
       .add(options_.infeasibility_trigger)
-      .add(options_.improvement_sweep_fraction)
-      .add(static_cast<int>(options_.rng))
-      .add(options_.rng_stream);
+      .add(options_.improvement_sweep_fraction);
   h.add(fitness_params_.area_weight)
       .add(fitness_params_.transition_weight)
       .add(fitness_params_.timing_weight);
@@ -663,7 +661,6 @@ void MappingGa::start_loop(LoopState& st) {
                                  entry.power_true});
     mode_cache_.restore(s.mode_cache, s.mode_cache_hits,
                         s.mode_cache_lookups);
-    st.start_generation = s.next_generation;
     st.generation = s.next_generation;
     restored_.reset();
   } else {
@@ -1001,44 +998,7 @@ SynthesisResult MappingGa::harvest(const LoopState& st) {
   result.elapsed_seconds = loop_elapsed(st);
   result.partial = st.partial;
   result.stop_reason = st.stop_reason;
-  // Paths that set `partial` directly (e.g. the island driver's shared
-  // stop flag) still owe the caller a typed reason.
-  if (result.partial && result.stop_reason == StopReason::kNone)
-    result.stop_reason = StopReason::kCancelled;
   return result;
-}
-
-SynthesisResult MappingGa::run(
-    const std::function<void(const GaProgress&)>& observer,
-    RunControl* control) {
-  LoopState st;
-  start_loop(st);
-
-  while (st.generation < options_.max_generations) {
-    // Generation boundary: the state right here is exactly what a
-    // checkpoint captures, so a cooperative stop both persists it (when
-    // checkpointing is on) and degrades gracefully to the best-so-far.
-    if (control && control->should_stop(loop_elapsed(st))) {
-      if (control->checkpointing_enabled())
-        control->write_checkpoint(snapshot(st));
-      st.partial = true;
-      st.stop_reason = control->budget_exhausted(loop_elapsed(st))
-                           ? StopReason::kBudgetExhausted
-                           : StopReason::kCancelled;
-      break;
-    }
-
-    if (!step_generation(st, observer)) break;
-
-    // Periodic checkpoint at the end of the generation body — the state
-    // here is "entering st.generation", the same shape the cooperative
-    // stop above persists (step_generation already advanced the counter).
-    if (control && control->checkpoint_due(st.generation - 1))
-      control->write_checkpoint(snapshot(st));
-  }
-
-  finish_loop(st, control);
-  return harvest(st);
 }
 
 }  // namespace mmsyn

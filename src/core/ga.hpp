@@ -116,25 +116,6 @@ struct GaOptions {
   /// never runs inside the parallel region (see DESIGN.md §8).
   int num_threads = 1;
 
-  /// Random-stream engine. The default counter-based generator (Threefry)
-  /// derives every draw from (seed, counter) alone, so streams are
-  /// reproducible across checkpoint/resume and any `num_threads` by
-  /// construction. Set to RngKind::kXoshiro to reproduce the historic
-  /// xoshiro256** streams of earlier releases bit-for-bit (see DESIGN.md
-  /// §12). Part of the checkpoint fingerprint: resuming a run under a
-  /// different engine is rejected.
-  RngKind rng = RngKind::kThreefry;
-
-  /// Threefry stream id of this GA's random stream (see rng_streams in
-  /// common/rng.hpp). Stream 0 — the default — is the legacy
-  /// single-population stream; the island driver gives every island its
-  /// own kIsland-domain stream, so island trajectories are a pure
-  /// function of (seed, island) and disjoint from the base stream by
-  /// construction. Nonzero values require the Threefry engine. Part of
-  /// the checkpoint fingerprint: an island checkpoint cannot be resumed
-  /// into a different island slot (or into a single-population run).
-  std::uint64_t rng_stream = 0;
-
   /// Shut-down improvement probability per individual per generation.
   double shutdown_improvement_rate = 0.02;
   /// Generations of all-infeasible populations that trigger the area /
@@ -201,33 +182,30 @@ struct SynthesisResult {
   StopReason stop_reason = StopReason::kNone;
 };
 
-/// The multi-mode mapping GA. The evaluator decides whether DVS is applied
-/// inside the loop and which mode weights the objective uses.
+/// The multi-mode mapping GA of one population. The evaluator decides
+/// whether DVS is applied inside the loop and which mode weights the
+/// objective uses. Every draw comes from the counter-based Threefry
+/// engine on stream `rng_stream` of `seed` (see rng_streams in
+/// common/rng.hpp): stream 0 for a single population, one kIsland-domain
+/// stream per island otherwise. IslandGa (core/island_ga.hpp) is the
+/// driver that runs the loop.
 class MappingGa {
 public:
   MappingGa(const System& system, const Evaluator& evaluator,
             FitnessParams fitness_params, AllocationOptions alloc_options,
-            GaOptions options, std::uint64_t seed);
+            GaOptions options, std::uint64_t seed,
+            std::uint64_t rng_stream = 0);
   ~MappingGa();
 
-  /// Runs to convergence. `observer` (optional) is invoked once per
-  /// generation. `control` (optional) adds time-budget / cancellation
-  /// checks and periodic checkpoints at generation boundaries (see
-  /// core/run_control.hpp); a controlled stop returns the best individual
-  /// found so far with `SynthesisResult::partial` set.
-  [[nodiscard]] SynthesisResult run(
-      const std::function<void(const GaProgress&)>& observer = {},
-      RunControl* control = nullptr);
-
-  /// Restores the state captured by a checkpoint so the next run()
+  /// Restores the state captured by a checkpoint so the next start_loop()
   /// continues bit-identically to the uninterrupted run. Throws
   /// CheckpointError when the snapshot's fingerprint does not match this
   /// GA's configuration (different seed, options, or system).
   void restore(const GaSnapshot& snapshot);
 
   /// Fingerprint of everything that shapes the GA trajectory: seed,
-  /// options, genome structure, fitness params, and evaluator weights.
-  /// Stored in checkpoints; resume refuses a mismatch.
+  /// random stream, options, genome structure, fitness params, and
+  /// evaluator weights. Stored in checkpoints; resume refuses a mismatch.
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
   /// Objective-aware greedy seed: for each hardware PE, selects the task
@@ -249,15 +227,14 @@ public:
   /// counters into the whole-run totals).
   [[nodiscard]] const ModeEvalCache& mode_cache() const { return mode_cache_; }
 
-  // ---- Island-stepping interface (DESIGN.md §14) ------------------------
+  // ---- Stepping interface (DESIGN.md §14) -------------------------------
   //
-  // run() is exactly `start_loop` + `step_generation` until it returns
-  // false (or the caller stops) + `finish_loop` + `harvest`. IslandGa
-  // drives the same pieces, inserting migration barriers between
-  // fixed-length blocks of step_generation calls — which is why the loop
-  // state lives in an explicit struct instead of run()'s stack frame.
-  // Internal API: exposed for the island driver and its tests, not a
-  // stability surface.
+  // A run is `start_loop` + `step_generation` until it returns false (or
+  // the driver stops) + `finish_loop` + `harvest`. IslandGa drives these
+  // pieces, inserting checkpoints and migration barriers between blocks
+  // of step_generation calls — which is why the loop state lives in an
+  // explicit struct instead of a stack frame. Internal API: exposed for
+  // the island driver and its tests, not a stability surface.
 
   struct Individual {
     Genome genome;
@@ -272,7 +249,7 @@ public:
     double power_true = 0.0;
   };
 
-  /// Everything run() used to keep on its stack between generations.
+  /// The loop bookkeeping a driver keeps between generations.
   struct LoopState {
     Individual best;
     int stagnation = 0;
@@ -281,7 +258,6 @@ public:
     int transition_infeasible_streak = 0;
     /// The generation about to run (== generations completed so far).
     int generation = 0;
-    int start_generation = 0;
     bool partial = false;
     /// Typed cause of `partial` (see StopReason).
     StopReason stop_reason = StopReason::kNone;
@@ -392,8 +368,8 @@ private:
   long cache_hits_ = 0;
   long cache_lookups_ = 0;
 
-  /// Restored checkpoint state consumed by the next run(); null when
-  /// starting fresh (see restore()).
+  /// Restored checkpoint state consumed by the next start_loop(); null
+  /// when starting fresh (see restore()).
   std::unique_ptr<GaSnapshot> restored_;
 
   /// Worker pool for evaluate_batch; null when num_threads resolves to 1.

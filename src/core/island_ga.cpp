@@ -20,9 +20,9 @@ struct IslandGa::Island {
 
   Island(const System& system, const Evaluator& evaluator,
          FitnessParams fitness_params, AllocationOptions alloc_options,
-         GaOptions options, std::uint64_t seed)
+         GaOptions options, std::uint64_t seed, std::uint64_t rng_stream)
       : ga(system, evaluator, std::move(fitness_params),
-           std::move(alloc_options), std::move(options), seed) {}
+           std::move(alloc_options), std::move(options), seed, rng_stream) {}
 
   /// Converged or at the generation cap: the loop never runs again.
   [[nodiscard]] bool finished(int max_generations) const {
@@ -36,17 +36,8 @@ void IslandGa::validate(const GaOptions& ga_options,
     throw std::invalid_argument(
         "islands: --islands must be >= 1 (got " +
         std::to_string(island_options.islands) + ")");
-  if (island_options.islands == 1) return;  // the remaining knobs are
-                                            // island-model-only
-  if (ga_options.rng != RngKind::kThreefry)
-    throw std::invalid_argument(
-        "islands: island sharding derives each island's random stream from "
-        "the counter-based Threefry engine; drop --rng=legacy (the stateful "
-        "xoshiro engine has no counter to partition) or run with --islands=1");
-  if (ga_options.rng_stream != 0)
-    throw std::invalid_argument(
-        "islands: the island driver owns the rng_stream assignment; leave "
-        "GaOptions::rng_stream at 0 (stream ids are derived per island)");
+  if (island_options.islands == 1) return;  // no ring: the migration
+                                            // knobs are inert
   if (island_options.migration_interval < 1)
     throw std::invalid_argument(
         "islands: --migration-interval must be >= 1 (got " +
@@ -75,32 +66,34 @@ IslandGa::IslandGa(const System& system, const Evaluator& evaluator,
       max_generations_(ga_options.max_generations) {
   validate(ga_options, island_options);
   const int n = island_options.islands;
+  if (n == 1) {
+    // No ring: a single population never migrates, so its schedule is
+    // neither a barrier nor part of the fingerprint.
+    island_options_.migration_interval = 0;
+    island_options_.migrants = 0;
+  }
   const int resolved = ThreadPool::resolve_thread_count(ga_options.num_threads);
   outer_threads_ = std::min(n, resolved);
   islands_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     GaOptions options = ga_options;
+    std::uint64_t stream = 0;
     if (n > 1) {
       // Each island owns a kIsland-domain stream — a pure function of
-      // (seed, island index), disjoint from the legacy stream 0 — and an
+      // (seed, island index), disjoint from the base stream 0 — and an
       // even share of the thread budget (the coordinator fans the islands
       // themselves out over outer_threads_). A single island keeps stream
-      // 0 and the caller's thread count, so IslandGa(1) is the plain GA.
-      options.rng_stream =
-          rng_streams::island_stream(static_cast<std::uint32_t>(i));
+      // 0 and the caller's thread count.
+      stream = rng_streams::island_stream(static_cast<std::uint32_t>(i));
       options.num_threads = std::max(1, resolved / n);
     }
     islands_.push_back(std::make_unique<Island>(
         system, evaluator, fitness_params, alloc_options, std::move(options),
-        seed));
+        seed, stream));
   }
 }
 
 IslandGa::~IslandGa() = default;
-
-int IslandGa::island_count() const {
-  return static_cast<int>(islands_.size());
-}
 
 std::uint64_t IslandGa::state_fingerprint() const {
   Fnv1a64 h;
@@ -108,7 +101,8 @@ std::uint64_t IslandGa::state_fingerprint() const {
       .add(island_options_.migration_interval)
       .add(island_options_.migrants);
   // The per-island fingerprints embed the seed, every GA option, and the
-  // island's rng_stream, so this digest pins the whole sharded trajectory.
+  // island's random stream, so this digest pins the whole sharded
+  // trajectory.
   for (const auto& island : islands_) h.add(island->ga.state_fingerprint());
   return h.digest();
 }
@@ -175,6 +169,20 @@ void IslandGa::migrate() {
   }
 }
 
+int IslandGa::segment_end(const RunControl* control) const {
+  int end = max_generations_;
+  if (islands_.size() > 1)
+    end = static_cast<int>(std::min<std::int64_t>(end, next_migration_));
+  if (control != nullptr) {
+    int lowest = end;
+    for (const auto& island : islands_)
+      if (!island->finished(max_generations_))
+        lowest = std::min(lowest, island->st.generation);
+    end = std::min(end, control->next_checkpoint_due(lowest));
+  }
+  return end;
+}
+
 SynthesisResult IslandGa::run(
     const std::function<void(const GaProgress&)>& observer,
     RunControl* control) {
@@ -192,10 +200,15 @@ SynthesisResult IslandGa::run(
   std::atomic<bool> stopped{false};
   ThreadPool pool(outer_threads_);
   const std::function<void(const GaProgress&)> no_observer{};
+  const auto all_finished = [&] {
+    return std::all_of(islands_.begin(), islands_.end(),
+                       [&](const std::unique_ptr<Island>& island) {
+                         return island->finished(max_generations_);
+                       });
+  };
 
-  while (true) {
-    const int target = static_cast<int>(std::min<std::int64_t>(
-        next_migration_, static_cast<std::int64_t>(max_generations_)));
+  while (!all_finished()) {
+    const int target = segment_end(control);
     pool.parallel_for(islands_.size(), [&](std::size_t i) {
       Island& island = *islands_[i];
       while (!island.st.converged && island.st.generation < target) {
@@ -213,12 +226,11 @@ SynthesisResult IslandGa::run(
     });
 
     if (stopped.load(std::memory_order_relaxed)) {
-      if (control != nullptr && control->checkpointing_enabled())
+      if (control->checkpointing_enabled())
         control->write_island_checkpoint(make_snapshot());
       const StopReason reason =
-          control != nullptr &&
-                  control->budget_exhausted(
-                      islands_.front()->ga.loop_elapsed(islands_.front()->st))
+          control->budget_exhausted(
+              islands_.front()->ga.loop_elapsed(islands_.front()->st))
               ? StopReason::kBudgetExhausted
               : StopReason::kCancelled;
       for (auto& island : islands_) {
@@ -228,34 +240,41 @@ SynthesisResult IslandGa::run(
       break;
     }
 
-    bool all_done = true;
-    for (const auto& island : islands_)
-      all_done = all_done && island->finished(max_generations_);
-    if (all_done) break;
-
-    // Synchronous barrier reached: every unfinished island sits exactly
-    // at `next_migration_`. Exchange, schedule the next barrier, and
-    // persist the post-migration state (the checkpoint's
+    // Barrier reached with a ring: every unfinished island sits exactly
+    // at `next_migration_`. Exchange and schedule the next barrier; the
+    // checkpoint below then holds the post-migration state (its
     // next_migration_generation says the exchange already happened).
-    migrate();
-    next_migration_ += island_options_.migration_interval;
-    if (control != nullptr && control->checkpointing_enabled())
-      control->write_island_checkpoint(make_snapshot());
+    const bool barrier = islands_.size() > 1 && target == next_migration_ &&
+                         !all_finished();
+    if (barrier) {
+      migrate();
+      next_migration_ += island_options_.migration_interval;
+    }
+    // One checkpoint rule for every island count: after every migration,
+    // and whenever --checkpoint-every says a save is due at the
+    // generation an island just reached.
+    const bool save =
+        control != nullptr && control->checkpointing_enabled() &&
+        (barrier || (control->checkpoint_due(target - 1) &&
+                     std::any_of(islands_.begin(), islands_.end(),
+                                 [&](const std::unique_ptr<Island>& island) {
+                                   return island->st.generation == target;
+                                 })));
+    if (save) control->write_island_checkpoint(make_snapshot());
   }
 
-  champion_ = 0;
-  for (int i = 1; i < static_cast<int>(islands_.size()); ++i) {
-    const MappingGa::Individual& a = islands_[static_cast<std::size_t>(i)]->st.best;
-    const MappingGa::Individual& b =
-        islands_[static_cast<std::size_t>(champion_)]->st.best;
+  Island* best = islands_.front().get();
+  for (const auto& island : islands_) {
+    const MappingGa::Individual& a = island->st.best;
+    const MappingGa::Individual& b = best->st.best;
     // Strictly-better wins, so ties go to the lowest island index.
     if (candidate_better(a.violation, a.fitness, b.violation, b.fitness))
-      champion_ = i;
+      best = island.get();
   }
 
   // The memetic polish refines one individual; running it on the champion
   // only matches the single-population cost model.
-  Island& champion = *islands_[static_cast<std::size_t>(champion_)];
+  Island& champion = *best;
   champion.ga.finish_loop(champion.st, control);
   SynthesisResult result = champion.ga.harvest(champion.st);
 

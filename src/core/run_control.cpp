@@ -35,8 +35,11 @@ constexpr char kMagic[8] = {'M', 'M', 'S', 'Y', 'N', 'C', 'K', 'P'};
 // last section of each GaSnapshot. The best individual is stored only
 // when has_best is set (v5 wrote an empty genome for a missing best,
 // which the reader then misparsed).
+// v7: same layout; the GA fingerprints no longer hash a random-engine
+// choice (Threefry is the only GA engine), and a one-island container
+// stores a zero migration schedule, so v6 fingerprints cannot match.
 // Any other version is rejected up front.
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
 
 class Writer {
 public:
@@ -90,6 +93,16 @@ public:
     const std::string_view slice = bytes_.substr(pos_, n);
     pos_ += n;
     return slice;
+  }
+
+  /// Passes `n` through as the count of elements that take at least
+  /// `element_bytes` each; a count the bytes left cannot hold means a
+  /// damaged payload, rejected before it can reach an allocation.
+  std::uint64_t bounded(std::uint64_t n, std::uint64_t element_bytes) const {
+    if (n > (bytes_.size() - pos_) / element_bytes)
+      throw CheckpointError("element count " + std::to_string(n) +
+                            " exceeds the payload");
+    return n;
   }
 
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
@@ -153,14 +166,13 @@ ModeEvalKey read_mode_key(Reader& r) {
   ModeEvalKey key;
   key.mode = r.u32();
   key.options_fingerprint = r.u64();
-  const std::uint64_t n_tasks = r.u64();
+  const std::uint64_t n_tasks = r.bounded(r.u64(), 4);
   key.task_to_pe.reserve(n_tasks);
   for (std::uint64_t i = 0; i < n_tasks; ++i)
     key.task_to_pe.push_back(PeId{static_cast<PeId::value_type>(r.i32())});
-  const std::uint64_t n_sets = r.u64();
-  key.cores.resize(n_sets);
+  key.cores.resize(r.bounded(r.u64(), 8));
   for (CoreSet& set : key.cores) {
-    const std::uint64_t n_entries = r.u64();
+    const std::uint64_t n_entries = r.bounded(r.u64(), 8);
     for (std::uint64_t e = 0; e < n_entries; ++e) {
       const TaskTypeId type{static_cast<TaskTypeId::value_type>(r.i32())};
       set.set_count(type, r.i32());
@@ -198,10 +210,10 @@ ModeEvaluation read_mode_evaluation(Reader& r) {
   m.static_power = r.f64();
   m.timing_violation = r.f64();
   m.makespan = r.f64();
-  m.pe_active.resize(r.u64());
+  m.pe_active.resize(r.bounded(r.u64(), 1));
   for (std::size_t i = 0; i < m.pe_active.size(); ++i)
     m.pe_active[i] = r.boolean();
-  m.cl_active.resize(r.u64());
+  m.cl_active.resize(r.bounded(r.u64(), 1));
   for (std::size_t i = 0; i < m.cl_active.size(); ++i)
     m.cl_active[i] = r.boolean();
   m.routable = r.boolean();
@@ -255,7 +267,12 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   Reader r(payload);
   GaSnapshot s;
   s.fingerprint = r.u64();
-  const std::size_t genome_length = r.u64();
+  // Smallest serialized sizes bound the counts: a gene is a u16; an
+  // individual adds three f64 and four flags; a memo entry is at least a
+  // key (u32 + three u64) and an evaluation (nine f64, two u64, a flag).
+  const std::uint64_t genome_length = r.bounded(r.u64(), 2);
+  const std::uint64_t individual_bytes = 2 * genome_length + 3 * 8 + 4;
+  constexpr std::uint64_t kModeEntryBytes = (4 + 3 * 8) + (9 * 8 + 2 * 8 + 1);
   s.next_generation = r.i32();
   s.stagnation = r.i32();
   s.converged = r.boolean();
@@ -269,17 +286,17 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   for (std::uint64_t& word : s.rng_state) word = r.u64();
   s.has_best = r.boolean();
   if (s.has_best) s.best = read_individual(r, genome_length);
-  const std::uint64_t population_count = r.u64();
+  const std::uint64_t population_count = r.bounded(r.u64(), individual_bytes);
   s.population.reserve(population_count);
   for (std::uint64_t i = 0; i < population_count; ++i)
     s.population.push_back(read_individual(r, genome_length));
-  const std::uint64_t cache_count = r.u64();
+  const std::uint64_t cache_count = r.bounded(r.u64(), individual_bytes);
   s.cache.reserve(cache_count);
   for (std::uint64_t i = 0; i < cache_count; ++i)
     s.cache.push_back(read_individual(r, genome_length));
   s.mode_cache_hits = r.i64();
   s.mode_cache_lookups = r.i64();
-  const std::uint64_t mode_cache_count = r.u64();
+  const std::uint64_t mode_cache_count = r.bounded(r.u64(), kModeEntryBytes);
   s.mode_cache.reserve(mode_cache_count);
   for (std::uint64_t i = 0; i < mode_cache_count; ++i) {
     ModeEvalKey key = read_mode_key(r);
@@ -327,19 +344,11 @@ IslandSnapshot deserialize_container(std::string_view payload) {
   if (s.island_count < 1)
     throw CheckpointError("island container declares " +
                           std::to_string(s.island_count) + " islands");
-  s.islands.reserve(static_cast<std::size_t>(s.island_count));
+  // Each island takes at least its u64 length prefix.
+  s.islands.reserve(r.bounded(static_cast<std::uint64_t>(s.island_count), 8));
   for (std::int32_t i = 0; i < s.island_count; ++i)
     s.islands.push_back(deserialize_ga(r.raw(r.u64())));
   if (!r.done()) throw CheckpointError("trailing bytes in payload");
-  return s;
-}
-
-/// Wraps a single-population snapshot as the one-island container.
-IslandSnapshot wrap_single(const GaSnapshot& snapshot) {
-  IslandSnapshot s;
-  s.fingerprint = snapshot.fingerprint;
-  s.island_count = 1;
-  s.islands.push_back(snapshot);
   return s;
 }
 
@@ -360,11 +369,11 @@ std::string checkpoint_generation_path(const std::string& path,
   return generation <= 0 ? path : path + "." + std::to_string(generation);
 }
 
-namespace {
-
-void save_payload_rotating(const std::string& path, const std::string& payload,
-                           int keep) {
+void save_island_checkpoint_rotating(const std::string& path,
+                                     const IslandSnapshot& snapshot,
+                                     int keep) {
   if (keep < 1) keep = 1;
+  const std::string payload = serialize_container(snapshot);
 
   std::string file;
   file.reserve(payload.size() + 24);
@@ -421,24 +430,6 @@ void save_payload_rotating(const std::string& path, const std::string& payload,
   fsync_parent_dir(path);
 }
 
-}  // namespace
-
-void save_checkpoint_rotating(const std::string& path,
-                              const GaSnapshot& snapshot, int keep) {
-  save_payload_rotating(path, serialize_container(wrap_single(snapshot)),
-                        keep);
-}
-
-void save_island_checkpoint_rotating(const std::string& path,
-                                     const IslandSnapshot& snapshot,
-                                     int keep) {
-  save_payload_rotating(path, serialize_container(snapshot), keep);
-}
-
-void save_checkpoint(const std::string& path, const GaSnapshot& snapshot) {
-  save_checkpoint_rotating(path, snapshot, /*keep=*/1);
-}
-
 IslandSnapshot load_island_checkpoint(const std::string& path) {
   std::string file;
   try {
@@ -480,50 +471,11 @@ IslandSnapshot load_island_checkpoint(const std::string& path) {
   return deserialize_container(payload);
 }
 
-GaSnapshot load_checkpoint(const std::string& path) {
-  IslandSnapshot container = load_island_checkpoint(path);
-  if (container.island_count != 1)
-    throw CheckpointError(
-        path + " is an island-model checkpoint (" +
-        std::to_string(container.island_count) +
-        " islands); resume it with --islands=" +
-        std::to_string(container.island_count) +
-        " and the matching migration schedule instead of a "
-        "single-population run");
-  return std::move(container.islands.front());
-}
-
-CheckpointLoadResult load_checkpoint_fallback(
+LoadedCheckpoint load_island_checkpoint_fallback(
     const std::string& path, int keep,
     std::optional<std::uint64_t> expected_fingerprint) {
   if (keep < 1) keep = 1;
-  CheckpointLoadResult result;
-  for (int gen = 0; gen < keep; ++gen) {
-    const std::string gen_path = checkpoint_generation_path(path, gen);
-    try {
-      GaSnapshot snapshot = load_checkpoint(gen_path);
-      if (expected_fingerprint.has_value() &&
-          snapshot.fingerprint != *expected_fingerprint)
-        throw CheckpointError("configuration fingerprint mismatch: " +
-                              gen_path);
-      result.snapshot = std::move(snapshot);
-      result.loaded_path = gen_path;
-      result.generation = gen;
-      return result;
-    } catch (const CheckpointError& e) {
-      result.notes.emplace_back(e.what());
-    }
-  }
-  std::string message = "no usable checkpoint generation under " + path;
-  for (const std::string& note : result.notes) message += "; " + note;
-  throw CheckpointError(message);
-}
-
-IslandCheckpointLoadResult load_island_checkpoint_fallback(
-    const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint) {
-  if (keep < 1) keep = 1;
-  IslandCheckpointLoadResult result;
+  LoadedCheckpoint result;
   for (int gen = 0; gen < keep; ++gen) {
     const std::string gen_path = checkpoint_generation_path(path, gen);
     try {
@@ -531,8 +483,10 @@ IslandCheckpointLoadResult load_island_checkpoint_fallback(
       if (expected_fingerprint.has_value() &&
           snapshot.fingerprint != *expected_fingerprint)
         throw CheckpointError(
-            "island configuration fingerprint mismatch (different island "
-            "count, migration schedule, seed, or GA options): " + gen_path);
+            "configuration fingerprint mismatch (the file was written with "
+            "--islands=" + std::to_string(snapshot.island_count) +
+            "; resuming needs the same island count, migration schedule, "
+            "seed, GA options and system): " + gen_path);
       result.snapshot = std::move(snapshot);
       result.loaded_path = gen_path;
       result.generation = gen;
@@ -551,19 +505,6 @@ void RunControl::write_island_checkpoint(const IslandSnapshot& snapshot) const {
   try {
     save_island_checkpoint_rotating(checkpoint_path, snapshot,
                                     checkpoint_keep_generations);
-  } catch (const CheckpointError& e) {
-    ++checkpoint_write_failures_;
-    log_recovery(std::string("tolerated checkpoint write failure (run "
-                             "continues on older generations): ") +
-                 e.what());
-  }
-}
-
-void RunControl::write_checkpoint(const GaSnapshot& snapshot) const {
-  if (checkpoint_path.empty()) return;
-  try {
-    save_checkpoint_rotating(checkpoint_path, snapshot,
-                             checkpoint_keep_generations);
   } catch (const CheckpointError& e) {
     ++checkpoint_write_failures_;
     log_recovery(std::string("tolerated checkpoint write failure (run "

@@ -1,18 +1,21 @@
 // Crash-safe run control for long synthesis runs.
 //
-// A `RunControl` handle threaded through `synthesize()` / `MappingGa::run`
-// adds three behaviours to an otherwise all-or-nothing GA run:
+// A `RunControl` handle threaded through `synthesize()` and the island
+// driver (`IslandGa::run`) adds three behaviours to an otherwise
+// all-or-nothing GA run:
 //
 //  * a wall-clock budget — the run stops at the next generation boundary
 //    once the budget is exhausted;
 //  * a cooperative cancellation token — `request_cancel()` (or a SIGINT
 //    when `listen_for_interrupt()` is on) stops the run at the next
 //    generation boundary;
-//  * periodic checkpoints — the complete GA state (generation, population,
-//    RNG state, best-so-far, memo cache, counters) is serialized to a
-//    versioned, CRC-protected file every N generations and on every
-//    cooperative stop, so `resume_path` can continue the run later
-//    **bit-identically** to an uninterrupted run with the same seed.
+//  * checkpoints — the complete state of every island (generation,
+//    population, RNG state, best-so-far, memo caches, counters, the
+//    migration barrier) is serialized to a versioned, CRC-protected file
+//    whenever `checkpoint_every_generations` makes a save due, after every
+//    migration, and on every cooperative stop, so `resume_path` can
+//    continue the run later **bit-identically** to an uninterrupted run
+//    with the same seed.
 //
 // A budget/cancel stop is graceful: the GA still returns the best
 // individual found so far and the result is flagged `partial = true`.
@@ -23,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -58,11 +62,11 @@ struct SnapshotIndividual {
                          const SnapshotIndividual&) = default;
 };
 
-/// Complete resumable GA state, captured at a generation boundary (the
-/// state *entering* `next_generation`). Restoring it and running on is
-/// bit-identical to never having stopped: the RNG stream, the memo cache
-/// (in insertion order, so FIFO eviction replays), and every counter
-/// continue exactly where they left off.
+/// Complete resumable state of one island's GA, captured at a generation
+/// boundary (the state *entering* `next_generation`). Restoring it and
+/// running on is bit-identical to never having stopped: the RNG stream,
+/// the memo cache (in insertion order, so FIFO eviction replays), and
+/// every counter continue exactly where they left off.
 struct GaSnapshot {
   /// Configuration fingerprint (seed, GA options, genome structure,
   /// evaluator weights); resume refuses a mismatch.
@@ -72,8 +76,8 @@ struct GaSnapshot {
   /// The convergence criterion has fired (v4): the diversity term of that
   /// criterion is measured on the pre-breeding population, so a resumed
   /// island could not re-derive the decision from the snapshot alone.
-  /// Single-population checkpoints always carry false — the run loop
-  /// stops at the first converged generation and never snapshots it.
+  /// Single-population checkpoints always carry false — a lone island
+  /// stops at its first converged generation and never snapshots it.
   bool converged = false;
   int area_infeasible_streak = 0;
   int timing_infeasible_streak = 0;
@@ -98,17 +102,18 @@ struct GaSnapshot {
   long mode_cache_lookups = 0;
 };
 
-/// Resumable state of one island-model run (checkpoint format v4; see
-/// DESIGN.md §14). Every checkpoint file is an island container — a
-/// single-population save is the island_count == 1 special case — so one
-/// loader, one CRC recipe and one rotation scheme cover both shapes.
+/// Resumable state of one synthesis run (see DESIGN.md §9 and §14). Every
+/// checkpoint file is an island container — a single-population save is
+/// the island_count == 1 special case — so one saver, one loader and one
+/// fallback loader cover every island count.
 struct IslandSnapshot {
   /// Island-config fingerprint: hashes island_count, migration_interval,
   /// migrants and every per-island GA fingerprint (which differ only in
-  /// their rng_stream), so a checkpoint cannot be resumed under a
+  /// their random stream), so a checkpoint cannot be resumed under a
   /// different island topology or migration schedule.
   std::uint64_t fingerprint = 0;
   std::int32_t island_count = 1;
+  /// The ring's schedule; both 0 for a single island (no ring).
   std::int32_t migration_interval = 0;
   std::int32_t migrants = 0;
   /// The migration barrier the run is advancing toward. Disambiguates a
@@ -120,45 +125,32 @@ struct IslandSnapshot {
   std::vector<GaSnapshot> islands;
 };
 
-/// Writes `snapshot` atomically and durably (temp file + fsync + rename +
-/// directory fsync) in the versioned, CRC-protected binary format. Throws
-/// CheckpointError on I/O failure; a write that throws mid-stream removes
-/// its stale `.tmp` file. Equivalent to save_checkpoint_rotating with
-/// keep = 1 (no older generations are retained).
-void save_checkpoint(const std::string& path, const GaSnapshot& snapshot);
-
 /// The on-disk name of checkpoint generation `generation` (0 = newest):
 /// `path` itself, then `path.1`, `path.2`, ...
 [[nodiscard]] std::string checkpoint_generation_path(const std::string& path,
                                                      int generation);
 
-/// Like save_checkpoint, but first shifts the existing generation files up
-/// (`path` -> `path.1` -> ... -> `path.keep-1`, the oldest falling off) so
-/// the last `keep` snapshots survive on disk. One torn or bit-rotted
-/// generation then costs at most `checkpoint_every_generations` of replay
-/// instead of the whole run.
-void save_checkpoint_rotating(const std::string& path,
-                              const GaSnapshot& snapshot, int keep);
-
-/// Island-container variants of the same recipe. save_checkpoint[_rotating]
-/// is exactly save_island_checkpoint_rotating of a one-island container.
+/// Writes `snapshot` atomically and durably (temp file + fsync + rename +
+/// directory fsync) in the versioned, CRC-protected binary format, after
+/// shifting the existing generation files up (`path` -> `path.1` -> ...
+/// -> `path.keep-1`, the oldest falling off) so the last `keep` snapshots
+/// survive on disk. One torn or bit-rotted generation then costs at most
+/// one checkpoint interval of replay instead of the whole run. Throws
+/// CheckpointError on I/O failure; a write that throws mid-stream removes
+/// its stale `.tmp` file.
 void save_island_checkpoint_rotating(const std::string& path,
                                      const IslandSnapshot& snapshot, int keep);
 
-/// Reads a checkpoint written by save_checkpoint. Throws CheckpointError
-/// on I/O failure, bad magic/version, or CRC mismatch — and, with an
-/// actionable message, when the file holds a multi-island container (those
-/// must be resumed through the island driver with the matching --islands).
-[[nodiscard]] GaSnapshot load_checkpoint(const std::string& path);
-
-/// Reads any checkpoint as an island container (a single-population file
-/// loads as island_count == 1). Throws CheckpointError as load_checkpoint.
+/// Reads a checkpoint. Throws CheckpointError on I/O failure, bad
+/// magic/version, CRC mismatch, or a payload whose contents do not parse
+/// (including element counts larger than the bytes left could hold).
 [[nodiscard]] IslandSnapshot load_island_checkpoint(const std::string& path);
 
-/// Outcome of load_checkpoint_fallback: which generation was loaded and
-/// what was wrong with every newer generation that had to be skipped.
-struct CheckpointLoadResult {
-  GaSnapshot snapshot;
+/// Outcome of load_island_checkpoint_fallback: which generation was
+/// loaded and what was wrong with every newer generation that had to be
+/// skipped.
+struct LoadedCheckpoint {
+  IslandSnapshot snapshot;
   /// The generation file actually loaded.
   std::string loaded_path;
   /// Its generation index (0 = the newest file, `path` itself).
@@ -170,24 +162,11 @@ struct CheckpointLoadResult {
 
 /// Recovery-aware load: tries generations 0..keep-1 in order and returns
 /// the newest one that reads cleanly (and, when `expected_fingerprint` is
-/// set, matches it). Missing and corrupt generations are skipped with a
-/// note instead of aborting the resume. Throws CheckpointError only when
-/// no generation is usable, with every skip reason in the message.
-[[nodiscard]] CheckpointLoadResult load_checkpoint_fallback(
-    const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint = std::nullopt);
-
-/// Island-container analogue of CheckpointLoadResult.
-struct IslandCheckpointLoadResult {
-  IslandSnapshot snapshot;
-  std::string loaded_path;
-  int generation = 0;
-  std::vector<std::string> notes;
-};
-
-/// Island-container analogue of load_checkpoint_fallback (the expected
-/// fingerprint is the island-config fingerprint).
-[[nodiscard]] IslandCheckpointLoadResult load_island_checkpoint_fallback(
+/// set, matches that island-config fingerprint). Missing and corrupt
+/// generations are skipped with a note instead of aborting the resume.
+/// Throws CheckpointError only when no generation is usable, with every
+/// skip reason in the message.
+[[nodiscard]] LoadedCheckpoint load_island_checkpoint_fallback(
     const std::string& path, int keep,
     std::optional<std::uint64_t> expected_fingerprint = std::nullopt);
 
@@ -201,8 +180,9 @@ public:
 
   /// Checkpoint file path; empty disables checkpointing.
   std::string checkpoint_path;
-  /// Write a checkpoint every N completed generations (and always on a
-  /// cooperative stop when checkpointing is enabled).
+  /// Write a checkpoint every N completed generations (0 = never
+  /// periodically); saves also follow every migration and every
+  /// cooperative stop when checkpointing is enabled.
   int checkpoint_every_generations = 25;
   /// Checkpoint generations kept on disk (path, path.1, ...); resume
   /// falls back through them when the newest is torn or corrupt.
@@ -256,14 +236,19 @@ public:
     return !checkpoint_path.empty();
   }
 
+  /// The first generation count above `generation` at which a periodic
+  /// checkpoint is due; INT_MAX when periodic checkpoints are off.
+  [[nodiscard]] int next_checkpoint_due(int generation) const {
+    if (checkpoint_path.empty() || checkpoint_every_generations <= 0)
+      return std::numeric_limits<int>::max();
+    return (generation / checkpoint_every_generations + 1) *
+           checkpoint_every_generations;
+  }
+
   /// Writes `snapshot` to checkpoint_path with generation rotation (no-op
   /// when disabled). Failure-tolerant: a checkpoint that cannot be written
   /// is logged and counted, never fatal — losing one periodic snapshot
   /// must not kill a multi-hour run (older generations still cover it).
-  void write_checkpoint(const GaSnapshot& snapshot) const;
-
-  /// Island-container variant of write_checkpoint (same tolerance: a
-  /// failed write is logged and counted, never fatal).
   void write_island_checkpoint(const IslandSnapshot& snapshot) const;
 
   /// Checkpoint writes tolerated (logged and skipped) so far.

@@ -137,8 +137,8 @@ TEST(Rng, StateRoundTripResumesStream) {
 // ---- Engine selection & the counter-based (Threefry) engine. -----------
 
 // Independent xoshiro256++ reference (re-implemented here from the
-// published algorithm) — pins the *legacy* streams so the `--rng=legacy`
-// compatibility path provably reproduces them for old checkpoints.
+// published algorithm) — pins the stateful streams the tgff generator
+// draws from, so the suite instances provably stay unchanged.
 std::uint64_t ref_rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }

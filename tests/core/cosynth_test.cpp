@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/run_control.hpp"
 #include "tgff/suites.hpp"
 
@@ -15,6 +18,57 @@ SynthesisOptions small(std::uint64_t seed) {
   options.ga.stagnation_limit = 20;
   options.seed = seed;
   return options;
+}
+
+// Golden trajectory: every other identity test compares two runs of the
+// same build, so a refactor that shifts the GA's trajectory would pass
+// them all. The recorded integers move with any change to the RNG draws,
+// the evaluation order or the cache accounting.
+struct GoldenRun {
+  int islands;
+  int generations;
+  long evaluations;
+  long cache_hits;
+  long cache_lookups;
+  long mode_cache_hits;
+  long mode_cache_lookups;
+};
+
+TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
+  const System system = make_mul(4);
+  // Both runs end on the same mapping.
+  const std::vector<std::vector<int>> golden_mapping = {
+      {1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+      {1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1},
+      {2, 1, 2, 1, 1, 1, 0, 2, 1, 2, 1, 1, 1},
+      {2, 1, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 1, 2, 0, 1, 0},
+      {2, 2, 1, 2, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0},
+  };
+  for (const GoldenRun& golden : {GoldenRun{1, 30, 480, 163, 643, 1520, 2400},
+                                  GoldenRun{3, 30, 1029, 394, 1423, 2948,
+                                            5145}}) {
+    SCOPED_TRACE("islands " + std::to_string(golden.islands));
+    SynthesisOptions options;
+    options.seed = 21;
+    options.ga.population_size = 24;
+    options.ga.max_generations = 30;
+    options.islands = golden.islands;
+    options.migration_interval = 5;
+    const SynthesisResult result = synthesize(system, options);
+    EXPECT_EQ(result.generations, golden.generations);
+    EXPECT_EQ(result.evaluations, golden.evaluations);
+    EXPECT_EQ(result.cache_hits, golden.cache_hits);
+    EXPECT_EQ(result.cache_lookups, golden.cache_lookups);
+    EXPECT_EQ(result.mode_cache_hits, golden.mode_cache_hits);
+    EXPECT_EQ(result.mode_cache_lookups, golden.mode_cache_lookups);
+    ASSERT_EQ(result.mapping.modes.size(), golden_mapping.size());
+    for (std::size_t m = 0; m < golden_mapping.size(); ++m) {
+      std::vector<int> task_to_pe;
+      for (PeId pe : result.mapping.modes[m].task_to_pe)
+        task_to_pe.push_back(pe.value());
+      EXPECT_EQ(task_to_pe, golden_mapping[m]) << "mode " << m;
+    }
+  }
 }
 
 TEST(Cosynth, MemoisationDoesNotChangeResults) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/cosynth.hpp"
+#include "core/island_ga.hpp"
 #include "tgff/motivational.hpp"
 #include "tgff/suites.hpp"
 
@@ -17,11 +20,19 @@ GaOptions fast_ga() {
   return options;
 }
 
+/// Runs fast_ga() as a single population (a one-island driver).
+SynthesisResult run_ga(const System& system, const Evaluator& evaluator,
+                       std::uint64_t seed,
+                       const std::function<void(const GaProgress&)>&
+                           observer = {}) {
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), IslandOptions{}, seed);
+  return ga.run(observer);
+}
+
 TEST(MappingGa, FindsExampleOneOptimumWithProbabilities) {
   const System system = make_motivational_example1();
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), /*seed=*/1);
-  const SynthesisResult result = ga.run();
+  const SynthesisResult result = run_ga(system, evaluator, /*seed=*/1);
   // 2^6 search space: the GA must hit the exact optimum (Fig. 2c).
   EXPECT_NEAR(result.evaluation.avg_power_true * 1e3, 15.7423, 1e-3);
   EXPECT_TRUE(result.evaluation.feasible());
@@ -32,18 +43,16 @@ TEST(MappingGa, FindsExampleOneOptimumWithoutProbabilities) {
   EvaluationOptions options;
   options.weight_override = {1.0, 1.0};
   const Evaluator evaluator(system, options);
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), /*seed=*/1);
-  const SynthesisResult result = ga.run();
+  const SynthesisResult result = run_ga(system, evaluator, /*seed=*/1);
   EXPECT_NEAR(result.evaluation.avg_power_true * 1e3, 26.7158, 1e-3);
 }
 
 TEST(MappingGa, ObserverSeesMonotoneBest) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), 7);
   double last_best = std::numeric_limits<double>::infinity();
   int calls = 0;
-  (void)ga.run([&](const GaProgress& p) {
+  (void)run_ga(system, evaluator, 7, [&](const GaProgress& p) {
     EXPECT_LE(p.best_fitness, last_best * (1 + 1e-9));
     last_best = p.best_fitness;
     EXPECT_EQ(p.generation, calls);
@@ -55,10 +64,8 @@ TEST(MappingGa, ObserverSeesMonotoneBest) {
 TEST(MappingGa, DeterministicForEqualSeeds) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga1(system, evaluator, {}, {}, fast_ga(), 42);
-  MappingGa ga2(system, evaluator, {}, {}, fast_ga(), 42);
-  const SynthesisResult r1 = ga1.run();
-  const SynthesisResult r2 = ga2.run();
+  const SynthesisResult r1 = run_ga(system, evaluator, 42);
+  const SynthesisResult r2 = run_ga(system, evaluator, 42);
   EXPECT_EQ(r1.fitness, r2.fitness);
   EXPECT_EQ(r1.evaluations, r2.evaluations);
   for (std::size_t m = 0; m < r1.mapping.modes.size(); ++m)
@@ -97,7 +104,6 @@ TEST(MappingGa, KnapsackSeedRespectsWeights) {
 TEST(MappingGa, ResultIsAtLeastAsGoodAsItsSeeds) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), 3);
   MappingGa probe(system, evaluator, {}, {}, fast_ga(), 3);
   const GenomeCodec& codec = probe.codec();
   auto fitness_of = [&](const Genome& g) {
@@ -109,7 +115,7 @@ TEST(MappingGa, ResultIsAtLeastAsGoodAsItsSeeds) {
   const double seed_fitness = std::min(
       fitness_of(probe.knapsack_seed_genome()),
       fitness_of(probe.software_seed_genome()));
-  const SynthesisResult result = ga.run();
+  const SynthesisResult result = run_ga(system, evaluator, 3);
   EXPECT_LE(result.fitness, seed_fitness * (1 + 1e-9));
 }
 

@@ -1,9 +1,8 @@
-// Island-model GA contract (DESIGN.md §14): one island degenerates to
-// the plain single-population GA bit for bit, multi-island runs are a
-// pure function of (seed, island count, migration schedule) for any
-// thread count, checkpointed island runs resume bit-identically, and the
-// per-island random streams can never collide with each other or with
-// the legacy stream.
+// Island-model GA contract (DESIGN.md §14): one island is the
+// single-population GA, multi-island runs are a pure function of (seed,
+// island count, migration schedule) for any thread count, checkpointed
+// island runs resume bit-identically, and the per-island random streams
+// can never collide with each other or with the base stream.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -61,11 +60,10 @@ void remove_generations(const std::string& path) {
     std::remove(checkpoint_generation_path(path, gen).c_str());
 }
 
-// --islands=1 takes the single-population route and must reproduce the
-// plain GA byte for byte; driving the same configuration through the
-// island coordinator must match too (the coordinator adds barriers but
-// no RNG draws, so IslandGa(1) exercises the steppable-loop refactor
-// against the monolithic run()).
+// An explicit --islands=1 is the default single population, whatever
+// the migration knobs say: without a ring they are inert (not even
+// validated). The recorded golden in cosynth_test pins that trajectory
+// across builds.
 TEST(IslandModel, OneIslandBitIdenticalToPlainGa) {
   const System system = make_mul(4);
   SynthesisOptions options;
@@ -74,23 +72,10 @@ TEST(IslandModel, OneIslandBitIdenticalToPlainGa) {
   const SynthesisResult plain = synthesize(system, options);
 
   options.islands = 1;
+  options.migration_interval = 0;
+  options.migrants = options.ga.population_size;
   const SynthesisResult routed = audited_synthesize(system, options);
   expect_results_identical(plain, routed);
-
-  // Same evaluator instance both ways: the coordinator adds barriers but
-  // no RNG draws, so the island-driven loop must replay the monolithic
-  // run() exactly.
-  const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa plain_ga(system, evaluator, {}, {}, fast_ga(), 21);
-  const SynthesisResult direct = plain_ga.run();
-  IslandOptions topology;
-  topology.islands = 1;
-  IslandGa one(system, evaluator, {}, {}, fast_ga(), topology, 21);
-  const SynthesisResult driven = one.run();
-  EXPECT_EQ(direct.fitness, driven.fitness);
-  EXPECT_EQ(direct.generations, driven.generations);
-  EXPECT_EQ(direct.evaluations, driven.evaluations);
-  EXPECT_EQ(direct.evaluation.avg_power_true, driven.evaluation.avg_power_true);
 }
 
 // The tentpole determinism rule: an island run is a pure function of
@@ -191,15 +176,6 @@ TEST(IslandModel, ValidationErrorsAreActionable) {
   EXPECT_THROW(IslandGa::validate(ga, topology), std::invalid_argument);
 
   topology.islands = 2;
-  ga.rng = RngKind::kXoshiro;
-  try {
-    IslandGa::validate(ga, topology);
-    FAIL() << "xoshiro islands should be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--islands=1"), std::string::npos);
-  }
-
-  ga = fast_ga();
   topology.migration_interval = 0;
   EXPECT_THROW(IslandGa::validate(ga, topology), std::invalid_argument);
   topology.migration_interval = 5;

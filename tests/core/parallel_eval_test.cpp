@@ -4,6 +4,7 @@
 
 #include "core/cosynth.hpp"
 #include "core/ga.hpp"
+#include "core/island_ga.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -90,7 +91,7 @@ TEST(MemoCache, HitRateAccountingIsConsistent) {
 TEST(MemoCache, ProgressExposesHitCounters) {
   const System system = make_mul(3);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), 2);
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), IslandOptions{}, 2);
   long last_lookups = -1;
   (void)ga.run([&](const GaProgress& p) {
     EXPECT_GE(p.cache_lookups, p.cache_hits);
@@ -181,7 +182,7 @@ TEST(GaReplacement, FullReplacementPreservesElite) {
   options.replacement_fraction = 1.0;
   options.immigrant_fraction = 0.5;
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, options, 21);
+  IslandGa ga(system, evaluator, {}, {}, options, IslandOptions{}, 21);
   const SynthesisResult result = ga.run();
   EXPECT_EQ(result.generations, 4);
   EXPECT_EQ(result.evaluations, 10 + 3 * 8);
@@ -199,7 +200,7 @@ TEST(GaReplacement, OverflowingImmigrantsSkipWithoutWrap) {
   options.replacement_fraction = 0.6;
   options.immigrant_fraction = 0.5;
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, options, 21);
+  IslandGa ga(system, evaluator, {}, {}, options, IslandOptions{}, 21);
   const SynthesisResult result = ga.run();
   EXPECT_EQ(result.evaluations, 10 + 3 * 8);
 }

@@ -1,16 +1,11 @@
 // GA-level random-stream stability (DESIGN.md §12): the counter-based
 // engine yields bit-identical populations and results for any thread
-// count, the legacy engine stays selectable for reproducing historic
-// runs, and the engine choice is part of the checkpoint fingerprint.
+// count.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
-#include "common/rng.hpp"
 #include "core/cosynth.hpp"
-#include "core/report.hpp"
-#include "core/run_control.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -44,7 +39,6 @@ TEST(RngStreams, ThreefryTrajectoryIdenticalAcrossThreadCounts) {
   const System system = make_mul(4);
   SynthesisOptions options;
   options.ga = fast_ga();
-  options.ga.rng = RngKind::kThreefry;
   options.seed = 21;
 
   options.ga.num_threads = 1;
@@ -56,57 +50,6 @@ TEST(RngStreams, ThreefryTrajectoryIdenticalAcrossThreadCounts) {
 
   expect_results_identical(one, four);
   expect_results_identical(one, sixteen);
-}
-
-// The compatibility flag keeps the historic engine fully functional: the
-// legacy xoshiro runs are deterministic and thread-stable too (they
-// always were — the RNG never runs inside the parallel region).
-TEST(RngStreams, LegacyEngineStaysDeterministicAndThreadStable) {
-  const System system = make_mul(4);
-  SynthesisOptions options;
-  options.ga = fast_ga();
-  options.ga.rng = RngKind::kXoshiro;
-  options.seed = 21;
-
-  options.ga.num_threads = 1;
-  const SynthesisResult first = synthesize(system, options);
-  const SynthesisResult again = synthesize(system, options);
-  options.ga.num_threads = 4;
-  const SynthesisResult parallel = synthesize(system, options);
-
-  expect_results_identical(first, again);
-  expect_results_identical(first, parallel);
-}
-
-// Switching engines switches streams: a checkpoint written under one
-// engine must not silently resume under the other.
-TEST(RngStreams, EngineIsPartOfCheckpointFingerprint) {
-  const System system = make_mul(4);
-  const std::string path =
-      std::string(::testing::TempDir()) + "mmsyn_rng_engine.ckpt";
-  SynthesisOptions options;
-  options.ga = fast_ga();
-  options.ga.rng = RngKind::kThreefry;
-  options.seed = 5;
-
-  RunControl writer;
-  writer.checkpoint_path = path;
-  writer.checkpoint_every_generations = 2;
-  (void)synthesize(system, options, &writer);
-
-  RunControl resumer;
-  resumer.resume_path = path;
-  options.ga.rng = RngKind::kXoshiro;
-  EXPECT_THROW((void)synthesize(system, options, &resumer), CheckpointError);
-
-  // Same engine resumes fine (and lands on the uninterrupted result).
-  options.ga.rng = RngKind::kThreefry;
-  RunControl resumer2;
-  resumer2.resume_path = path;
-  const SynthesisResult resumed = synthesize(system, options, &resumer2);
-  const SynthesisResult full = synthesize(system, options);
-  expect_results_identical(resumed, full);
-  std::remove(path.c_str());
 }
 
 }  // namespace

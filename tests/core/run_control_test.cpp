@@ -7,8 +7,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "core/cosynth.hpp"
+#include "core/island_ga.hpp"
 #include "core/report.hpp"
 #include "tgff/suites.hpp"
 
@@ -18,6 +22,19 @@ namespace {
 /// Unique-ish scratch path under the build tree's cwd.
 std::string scratch_path(const char* name) {
   return std::string(::testing::TempDir()) + "mmsyn_" + name + ".ckpt";
+}
+
+/// The little-endian `width`-byte integer at `at` (checkpoint encoding).
+std::uint64_t get_le(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i)
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+  return v;
+}
+
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i)
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 GaSnapshot sample_snapshot() {
@@ -79,6 +96,27 @@ GaSnapshot sample_snapshot() {
   return snap;
 }
 
+/// `snapshot` as the one-island container every checkpoint file holds.
+IslandSnapshot one_island(const GaSnapshot& snapshot) {
+  IslandSnapshot container;
+  container.fingerprint = snapshot.fingerprint;
+  container.islands.push_back(snapshot);
+  return container;
+}
+
+void save_one_island(const std::string& path, const GaSnapshot& snapshot,
+                     int keep = 1) {
+  save_island_checkpoint_rotating(path, one_island(snapshot), keep);
+}
+
+/// Loads a one-island checkpoint file and unwraps its GA snapshot.
+GaSnapshot load_one_island(const std::string& path) {
+  IslandSnapshot container = load_island_checkpoint(path);
+  if (container.islands.size() != 1)
+    throw CheckpointError("expected a one-island container: " + path);
+  return std::move(container.islands.front());
+}
+
 void expect_mode_entries_equal(
     const std::vector<std::pair<ModeEvalKey, ModeEvaluation>>& a,
     const std::vector<std::pair<ModeEvalKey, ModeEvaluation>>& b) {
@@ -125,15 +163,15 @@ TEST(Checkpoint, RejectsModeCacheEntryWithSchedule) {
   // built from the wrong evaluator configuration and must not be written.
   GaSnapshot snap = sample_snapshot();
   snap.mode_cache[0].second.schedule.emplace();
-  EXPECT_THROW(save_checkpoint(scratch_path("sched_entry"), snap),
+  EXPECT_THROW(save_one_island(scratch_path("sched_entry"), snap),
                CheckpointError);
 }
 
 TEST(Checkpoint, RoundTripsExactly) {
   const std::string path = scratch_path("roundtrip");
   const GaSnapshot original = sample_snapshot();
-  save_checkpoint(path, original);
-  expect_snapshots_equal(load_checkpoint(path), original);
+  save_one_island(path, original);
+  expect_snapshots_equal(load_one_island(path), original);
   std::remove(path.c_str());
 }
 
@@ -145,13 +183,14 @@ TEST(Checkpoint, RoundTripsSnapshotWithoutBest) {
   GaSnapshot original = sample_snapshot();
   original.has_best = false;
   original.best = SnapshotIndividual{};
-  save_checkpoint(path, original);
-  expect_snapshots_equal(load_checkpoint(path), original);
+  save_one_island(path, original);
+  expect_snapshots_equal(load_one_island(path), original);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, MissingFileIsTypedError) {
-  EXPECT_THROW(load_checkpoint("/nonexistent/dir/nope.ckpt"), CheckpointError);
+  EXPECT_THROW(load_island_checkpoint("/nonexistent/dir/nope.ckpt"),
+               CheckpointError);
 }
 
 TEST(Checkpoint, RejectsBadMagic) {
@@ -160,13 +199,13 @@ TEST(Checkpoint, RejectsBadMagic) {
     std::ofstream os(path, std::ios::binary);
     os << "NOTMMSYNgarbage that is long enough to read a header from....";
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_island_checkpoint(path), CheckpointError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsTruncation) {
   const std::string path = scratch_path("trunc");
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -177,13 +216,13 @@ TEST(Checkpoint, RejectsTruncation) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 13));
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_island_checkpoint(path), CheckpointError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsBitFlip) {
   const std::string path = scratch_path("flip");
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -194,31 +233,27 @@ TEST(Checkpoint, RejectsBitFlip) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_island_checkpoint(path), CheckpointError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsOtherFormatVersions) {
-  // The u32 version follows the 8-byte magic. A v5 file still carries the
-  // schedule-stage section this format dropped, and a newer one is
-  // unknown: both must be refused with the version named.
+  // The u32 version follows the 8-byte magic. A v6 file's fingerprints
+  // still hash the GA's random-engine choice, and a newer one is unknown:
+  // both must be refused with the version named.
   const std::string path = scratch_path("version");
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(is), {});
   }
   ASSERT_GT(bytes.size(), 12u);
-  std::uint32_t current = 0;
-  for (int i = 0; i < 4; ++i)
-    current |= std::uint32_t{static_cast<unsigned char>(bytes[8 + i])}
-               << (8 * i);
-  EXPECT_EQ(current, 6u);
-  for (const std::uint32_t version : {5u, current + 1}) {
+  const std::uint64_t current = get_le(bytes, 8, 4);
+  EXPECT_EQ(current, 7u);
+  for (const std::uint64_t version : {std::uint64_t{6}, current + 1}) {
     SCOPED_TRACE("version " + std::to_string(version));
-    for (int i = 0; i < 4; ++i)
-      bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    put_le(bytes, 8, version, 4);
     {
       std::ofstream os(path, std::ios::binary | std::ios::trunc);
       os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -274,12 +309,12 @@ TEST(Checkpoint, RotationKeepsLastKGenerations) {
   GaSnapshot snap = sample_snapshot();
   for (int i = 0; i < 4; ++i) {
     snap.next_generation = i;
-    save_checkpoint_rotating(path, snap, /*keep=*/3);
+    save_one_island(path, snap, /*keep=*/3);
   }
   // Newest first: generations 3, 2, 1; generation 0 fell off the end.
-  EXPECT_EQ(load_checkpoint(path).next_generation, 3);
-  EXPECT_EQ(load_checkpoint(path + ".1").next_generation, 2);
-  EXPECT_EQ(load_checkpoint(path + ".2").next_generation, 1);
+  EXPECT_EQ(load_one_island(path).next_generation, 3);
+  EXPECT_EQ(load_one_island(path + ".1").next_generation, 2);
+  EXPECT_EQ(load_one_island(path + ".2").next_generation, 1);
   EXPECT_FALSE(file_exists(path + ".3"));
   remove_generations(path);
 }
@@ -289,13 +324,13 @@ TEST(Checkpoint, FallbackPrefersNewestGoodGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint_rotating(path, snap, 3);
+  save_one_island(path, snap, 3);
   snap.next_generation = 10;
-  save_checkpoint_rotating(path, snap, 3);
-  const CheckpointLoadResult loaded = load_checkpoint_fallback(path, 3);
+  save_one_island(path, snap, 3);
+  const LoadedCheckpoint loaded = load_island_checkpoint_fallback(path, 3);
   EXPECT_EQ(loaded.generation, 0);
   EXPECT_EQ(loaded.loaded_path, path);
-  EXPECT_EQ(loaded.snapshot.next_generation, 10);
+  EXPECT_EQ(loaded.snapshot.islands.front().next_generation, 10);
   EXPECT_TRUE(loaded.notes.empty());
   remove_generations(path);
 }
@@ -331,10 +366,44 @@ void damage_wrong_fingerprint(const std::string& path) {
   GaSnapshot other = sample_snapshot();
   other.fingerprint ^= 0xdeadbeefull;
   other.next_generation = 99;
-  save_checkpoint(path, other);
+  save_one_island(path, other);
 }
 
 void damage_empty_file(const std::string& path) { write_file(path, ""); }
+
+// Forged element counts in a checkpoint of sample_snapshot(), with the
+// CRC trailer recomputed so only the count bound can reject the file.
+// The payload follows the magic, the u32 version and the u64 size; it
+// opens with the container's u64 fingerprint and i32 island count. The
+// first island's population count follows the rest of the container
+// header (16 bytes), the island's u64 length prefix, the GaSnapshot's
+// fixed fields (102 bytes) and its best individual (34 bytes).
+constexpr std::size_t kPayloadOffset = 8 + 4 + 8;
+constexpr std::size_t kIslandCountOffset = kPayloadOffset + 8;
+constexpr std::size_t kPopulationCountOffset =
+    kIslandCountOffset + 4 + 16 + 8 + 102 + 34;
+
+/// Overwrites the `width`-byte count at `at` (which must currently hold
+/// `expected`) with `forged` and recomputes the CRC trailer.
+void forge_count(const std::string& path, std::size_t at, int width,
+                 std::uint64_t expected, std::uint64_t forged) {
+  std::string bytes = read_file(path);
+  ASSERT_EQ(get_le(bytes, at, width), expected) << "layout offset drifted";
+  put_le(bytes, at, forged, width);
+  const std::string_view payload = std::string_view(bytes).substr(
+      kPayloadOffset, bytes.size() - kPayloadOffset - 4);
+  put_le(bytes, bytes.size() - 4, crc32(payload), 4);
+  write_file(path, bytes);
+}
+
+void damage_forged_island_count(const std::string& path) {
+  forge_count(path, kIslandCountOffset, 4, 1, 0x7fffffff);
+}
+
+void damage_forged_population_count(const std::string& path) {
+  forge_count(path, kPopulationCountOffset, 8,
+              sample_snapshot().population.size(), std::uint64_t{1} << 61);
+}
 
 class CheckpointCorruptionTest
     : public ::testing::TestWithParam<CorruptionCase> {};
@@ -347,22 +416,22 @@ TEST_P(CheckpointCorruptionTest, FallsBackToPreviousGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint_rotating(path, snap, 3);  // becomes .1 after next save
+  save_one_island(path, snap, 3);  // becomes .1 after next save
   snap.next_generation = 10;
-  save_checkpoint_rotating(path, snap, 3);
+  save_one_island(path, snap, 3);
   GetParam().damage(path);
 
-  const CheckpointLoadResult loaded =
-      load_checkpoint_fallback(path, 3, sample_snapshot().fingerprint);
+  const LoadedCheckpoint loaded = load_island_checkpoint_fallback(
+      path, 3, sample_snapshot().fingerprint);
   EXPECT_EQ(loaded.generation, 1);
   EXPECT_EQ(loaded.loaded_path, path + ".1");
-  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  EXPECT_EQ(loaded.snapshot.islands.front().next_generation, 5);
   ASSERT_EQ(loaded.notes.size(), 1u);  // one note for the damaged newest
 
   // Without an older good generation the same damage is a typed error.
   std::remove((path + ".1").c_str());
-  EXPECT_THROW((void)load_checkpoint_fallback(path, 3,
-                                              sample_snapshot().fingerprint),
+  EXPECT_THROW((void)load_island_checkpoint_fallback(
+                   path, 3, sample_snapshot().fingerprint),
                CheckpointError);
   remove_generations(path);
 }
@@ -374,7 +443,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CorruptionCase{"WrongVersion", damage_wrong_version},
                       CorruptionCase{"WrongFingerprint",
                                      damage_wrong_fingerprint},
-                      CorruptionCase{"EmptyFile", damage_empty_file}),
+                      CorruptionCase{"EmptyFile", damage_empty_file},
+                      CorruptionCase{"ForgedIslandCount",
+                                     damage_forged_island_count},
+                      CorruptionCase{"ForgedPopulationCount",
+                                     damage_forged_population_count}),
     [](const ::testing::TestParamInfo<CorruptionCase>& info) {
       return info.param.name;
     });
@@ -387,17 +460,17 @@ TEST(Checkpoint, FallbackSkipsMissingNewestGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint(path + ".1", snap);
-  const CheckpointLoadResult loaded = load_checkpoint_fallback(path, 3);
+  save_one_island(path + ".1", snap);
+  const LoadedCheckpoint loaded = load_island_checkpoint_fallback(path, 3);
   EXPECT_EQ(loaded.generation, 1);
-  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  EXPECT_EQ(loaded.snapshot.islands.front().next_generation, 5);
   remove_generations(path);
 }
 
 TEST(Checkpoint, SaveLeavesNoStaleTmpFile) {
   const std::string path = scratch_path("no_tmp");
   remove_generations(path);
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   EXPECT_FALSE(file_exists(path + ".tmp"));
   remove_generations(path);
 }
@@ -407,7 +480,7 @@ TEST(RunControl, WriteCheckpointToleratesFailure) {
   control.checkpoint_path = "/nonexistent/dir/run.ckpt";
   std::vector<std::string> log;
   control.recovery_log = [&](const std::string& m) { log.push_back(m); };
-  control.write_checkpoint(sample_snapshot());  // must not throw
+  control.write_island_checkpoint(one_island(sample_snapshot()));  // no throw
   EXPECT_EQ(control.checkpoint_write_failures(), 1);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_NE(log[0].find("checkpoint write failure"), std::string::npos);
@@ -468,8 +541,8 @@ TEST(Resume, CancelledRunResumesBitIdentically) {
       eval.dvs = options.dvs_in_loop;
       return eval;
     }());
-    MappingGa ga(system, evaluator, options.fitness, options.allocation,
-                 options.ga, options.seed);
+    IslandGa ga(system, evaluator, options.fitness, options.allocation,
+                options.ga, IslandOptions{}, options.seed);
     const SynthesisResult partial = ga.run(
         [&](const GaProgress& progress) {
           if (progress.generation >= 4) stopper.request_cancel();
@@ -518,7 +591,7 @@ TEST(Resume, PeriodicCheckpointResumesBitIdentically) {
   writer.checkpoint_path = path;
   writer.checkpoint_every_generations = 5;
   (void)synthesize(system, options, &writer);
-  const GaSnapshot snap = load_checkpoint(path);
+  const GaSnapshot snap = load_one_island(path);
   EXPECT_GT(snap.next_generation, 0);
 
   RunControl resumer;
@@ -553,6 +626,56 @@ TEST(Resume, FingerprintMismatchRefused) {
   other.ga.gene_mutation_rate *= 2;  // different GA options
   EXPECT_THROW((void)synthesize(system, other, &resumer), CheckpointError);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint cadence: which generations a run saves, pinned through the
+// files it leaves.
+
+/// Runs mul4 for all 30 generations (no convergence; migration interval
+/// 5; keep 8, so every save survives) and returns each island's
+/// next_generation in every checkpoint file, newest file first.
+std::vector<std::vector<int>> saved_generations(const char* name, int islands,
+                                                int checkpoint_every) {
+  const std::string path = scratch_path(name);
+  remove_generations(path);
+  SynthesisOptions options = small_options(7);
+  options.ga.stagnation_limit = 1000;
+  options.islands = islands;
+  options.migration_interval = 5;
+  RunControl control;
+  control.checkpoint_path = path;
+  control.checkpoint_every_generations = checkpoint_every;
+  control.checkpoint_keep_generations = 8;
+  (void)synthesize(make_mul(4), options, &control);
+  std::vector<std::vector<int>> saved;
+  for (int gen = 0; file_exists(checkpoint_generation_path(path, gen));
+       ++gen) {
+    saved.emplace_back();
+    for (const GaSnapshot& island :
+         load_island_checkpoint(checkpoint_generation_path(path, gen)).islands)
+      saved.back().push_back(island.next_generation);
+  }
+  remove_generations(path);
+  return saved;
+}
+
+TEST(CheckpointCadence, OneIslandSavesOnlyWhereCheckpointEverySays) {
+  // A single population has no ring: the migration interval adds no saves.
+  EXPECT_EQ(saved_generations("cadence_one_island", 1, 7),
+            (std::vector<std::vector<int>>{{28}, {21}, {14}, {7}}));
+}
+
+TEST(CheckpointCadence, IslandRunSavesAtEveryMigration) {
+  // The default checkpoint_every_generations (25) coincides with the
+  // barrier at 25, which saves once; the cap (30) is no barrier.
+  EXPECT_EQ(saved_generations("cadence_three_islands", 3,
+                              RunControl().checkpoint_every_generations),
+            (std::vector<std::vector<int>>{{25, 25, 25},
+                                           {20, 20, 20},
+                                           {15, 15, 15},
+                                           {10, 10, 10},
+                                           {5, 5, 5}}));
 }
 
 TEST(Budget, ZeroBudgetStillReturnsEvaluatedResult) {

@@ -240,12 +240,14 @@ cmake --build build-tsan -j "$JOBS"
 
 echo "== thread-sanitizer thread-pool tests =="
 # The 1-vs-N-thread identity tests drive the batch evaluator's parallel
-# phases, and EvaluatorFinalize runs a multi-threaded synthesis of an
+# phases, EvaluatorFinalize runs a multi-threaded synthesis of an
 # unvalidated parsed system (task graphs first touched by the pool unless
-# the Evaluator finalized them). TSan over the full ctest suite would
-# triple CI time for paths ASan already covers.
+# the Evaluator finalized them), and IslandModel drives the island
+# coordinator's pool, which every synthesis now fans out through. TSan
+# over the full ctest suite would triple CI time for paths ASan already
+# covers.
 (cd build-tsan && ctest --output-on-failure -j 2 \
-  -R 'ParallelEvaluation|RngStreams|EvaluatorFinalize')
+  -R 'ParallelEvaluation|RngStreams|EvaluatorFinalize|IslandModel')
 
 echo "== thread-sanitizer island run =="
 # The island coordinator is the one place worker threads exchange state
