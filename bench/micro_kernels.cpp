@@ -11,6 +11,13 @@
 // in the same process), which is what the CI perf gate in tools/ci.sh
 // tracks via BENCH_micro_kernels.json.
 //
+// Core allocation (with its mobility analysis) is bit-compared the same
+// way: on every mode of the fixture and on 1000 random genomes of each of
+// three generated ASIC+FPGA systems (one rewired so that its CLs differ in
+// speed, a CL lists a PE twice and one PE has no CL), with parallel-core
+// allocation on and off. Its timing is a row of its own, outside
+// `combined`, so the committed baseline keeps its meaning.
+//
 // Usage:
 //   micro_kernels [--mul N] [--repeats N] [--json PATH] [--min-speedup X]
 //
@@ -36,6 +43,8 @@
 #include "dvs/pv_dvs.hpp"
 #include "energy/evaluator.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/mobility.hpp"
+#include "tgff/generator.hpp"
 #include "tgff/suites.hpp"
 
 namespace {
@@ -159,6 +168,68 @@ bool results_match(const PvDvsResult& a, const PvDvsResult& b) {
          sorted_close(a.energy, b.energy, 1e-6);
 }
 
+bool mobility_identical(const MobilityInfo& a, const MobilityInfo& b) {
+  return bits_equal(a.asap_start, b.asap_start) &&
+         bits_equal(a.alap_start, b.alap_start) &&
+         bits_equal(a.exec_time, b.exec_time) &&
+         bits_equal(a.mobility, b.mobility) &&
+         bits_equal(a.critical_path, b.critical_path);
+}
+
+/// Every mode's mobility and the core allocation of `mapping` (parallel
+/// cores on and off) agree exactly between library and reference.
+bool allocation_identical(const System& system,
+                          const MultiModeMapping& mapping) {
+  for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
+    const Mode& mode = system.omsm.modes()[m];
+    if (!mobility_identical(
+            compute_mobility(mode, mapping.modes[m], system.arch, system.tech),
+            refk::ref_compute_mobility(mode, mapping.modes[m], system.arch,
+                                       system.tech)))
+      return false;
+  }
+  for (bool parallel : {true, false}) {
+    AllocationOptions options;
+    options.allocate_parallel_cores = parallel;
+    if (build_core_allocation(system, mapping, options).per_mode !=
+        refk::ref_build_core_allocation(system, mapping, options).per_mode)
+      return false;
+  }
+  return true;
+}
+
+/// Generated systems holding both an ASIC and an FPGA. The last one is
+/// rewired: its CLs get distinct speeds, CL 0 lists PE 0 twice, and no CL
+/// reaches the last PE, so the unconnected-pair stand-in delay is hit.
+std::vector<System> allocation_systems() {
+  GeneratorConfig config;
+  config.pe_count_min = config.pe_count_max = 4;
+  config.cl_count_min = 2;
+  std::vector<System> systems;
+  for (std::uint64_t seed = 1; systems.size() < 3; ++seed) {
+    config.seed = seed;
+    System system = generate_system(config, "alloc" + std::to_string(seed));
+    bool asic = false, fpga = false;
+    for (const Pe& pe : system.arch.pes()) {
+      asic = asic || pe.kind == PeKind::kAsic;
+      fpga = fpga || pe.kind == PeKind::kFpga;
+    }
+    if (asic && fpga) systems.push_back(std::move(system));
+  }
+  Architecture& arch = systems.back().arch;
+  const std::size_t last = arch.pe_count() - 1;
+  for (std::size_t c = 0; c < arch.cl_count(); ++c) {
+    Cl& cl = arch.cl(ClId{static_cast<ClId::value_type>(c)});
+    cl.bandwidth *= static_cast<double>(c + 1);
+    cl.startup_latency *= static_cast<double>(2 * c + 1);
+    cl.attached.clear();
+    for (std::size_t p = 0; p < last; ++p)
+      cl.attached.push_back(PeId{static_cast<PeId::value_type>(p)});
+  }
+  arch.cl(ClId{0}).attached.push_back(PeId{0});
+  return systems;
+}
+
 struct StageReport {
   std::string name;
   double ref_ns = 0.0;
@@ -257,6 +328,17 @@ int main(int argc, char** argv) {
                       run_pv_dvs(f.graphs[m], f.system.arch));
   }
 
+  // Core allocation: the fixture's mapping, then random genomes on the
+  // generated ASIC+FPGA systems.
+  bool identity_allocation = allocation_identical(f.system, f.mapping);
+  for (const System& system : allocation_systems()) {
+    const GenomeCodec codec(system);
+    Rng rng(7);
+    for (int i = 0; i < 1000 && identity_allocation; ++i)
+      identity_allocation =
+          allocation_identical(system, codec.decode(codec.random_genome(rng)));
+  }
+
   // ---- Timings: each thunk sweeps all modes once. -----------------------
   std::vector<StageReport> stages;
   {
@@ -325,6 +407,23 @@ int main(int argc, char** argv) {
     stages.push_back(s);
   }
 
+  // Its own row, outside `combined` (which tracks the sched+DVS kernels).
+  StageReport allocation{"core_allocation"};
+  allocation.identical = identity_allocation;
+  allocation.ref_ns = time_ns(
+      [&] {
+        g_sink = static_cast<double>(
+            refk::ref_build_core_allocation(f.system, f.mapping, {})
+                .per_mode.size());
+      },
+      repeats);
+  allocation.opt_ns = time_ns(
+      [&] {
+        g_sink = static_cast<double>(
+            build_core_allocation(f.system, f.mapping).per_mode.size());
+      },
+      repeats);
+
   // Informational opt-only timings (no pre-rewrite counterpart survives at
   // this granularity; the evaluator exercises every kernel end-to-end).
   double eval_ns = 0.0, eval_dvs_ns = 0.0;
@@ -344,7 +443,7 @@ int main(int argc, char** argv) {
   }
 
   double combined_ref = 0.0, combined_opt = 0.0;
-  bool all_identical = true;
+  bool all_identical = identity_allocation;
   for (const StageReport& s : stages) {
     combined_ref += s.ref_ns;
     combined_opt += s.opt_ns;
@@ -358,6 +457,7 @@ int main(int argc, char** argv) {
   for (const StageReport& s : stages) print_stage(stdout, s);
   std::printf("  %-16s ref %10.0f ns   opt %10.0f ns   %5.2fx\n", "combined",
               combined_ref, combined_opt, combined_speedup);
+  print_stage(stdout, allocation);
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate", eval_ns);
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate_dvs",
               eval_dvs_ns);
@@ -380,6 +480,10 @@ int main(int argc, char** argv) {
         << "  \"combined\": {\"ref_ns\": " << combined_ref
         << ", \"opt_ns\": " << combined_opt
         << ", \"speedup\": " << combined_speedup << "},\n"
+        << "  \"core_allocation\": {\"ref_ns\": " << allocation.ref_ns
+        << ", \"opt_ns\": " << allocation.opt_ns
+        << ", \"speedup\": " << allocation.speedup() << ", \"identical\": "
+        << (allocation.identical ? "true" : "false") << "},\n"
         << "  \"opt_only_ns\": {\"evaluate_candidate\": " << eval_ns
         << ", \"evaluate_candidate_dvs\": " << eval_dvs_ns << "},\n"
         << "  \"identical\": " << (all_identical ? "true" : "false") << "\n"

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dvs/voltage_model.hpp"
+#include "model/system.hpp"
 #include "model/architecture.hpp"
 #include "model/omsm.hpp"
 #include "model/tech_library.hpp"
@@ -677,6 +678,237 @@ PvDvsResult ref_run_pv_dvs(const RefDvsGraph& g, const Architecture& arch,
     result.total_energy += result.energy[i];
   }
   return result;
+}
+
+// ---- Core allocation (Fig. 4 lines 04–05), frozen before the flat-table
+// rewrite: std::map grouping and demand tables, mobility for every mode,
+// and a fresh links_between vector per edge visit. ----------------------
+namespace {
+
+/// Contention-free delay estimate of edge `e` under `mapping`.
+double edge_delay(const TaskGraph& graph, const TaskEdge& e,
+                  const ModeMapping& mapping, const Architecture& arch) {
+  (void)graph;
+  const PeId src_pe = mapping.task_to_pe[e.src.index()];
+  const PeId dst_pe = mapping.task_to_pe[e.dst.index()];
+  if (src_pe == dst_pe) return 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  for (ClId cl : arch.links_between(src_pe, dst_pe)) {
+    const Cl& link = arch.cl(cl);
+    best = std::min(best, link.startup_latency + e.data_bits / link.bandwidth);
+  }
+  // Unconnected PEs: treat as a huge (but finite) delay so mobility stays
+  // well-defined; the list scheduler reports the infeasibility properly.
+  if (!std::isfinite(best)) best = 1e6;
+  return best;
+}
+
+}  // namespace
+
+MobilityInfo ref_compute_mobility(const Mode& mode,
+                                  const ModeMapping& mapping,
+                                  const Architecture& arch,
+                                  const TechLibrary& tech) {
+  const TaskGraph& graph = mode.graph;
+  const std::size_t n = graph.task_count();
+  MobilityInfo info;
+  info.asap_start.assign(n, 0.0);
+  info.alap_start.assign(n, 0.0);
+  info.exec_time.assign(n, 0.0);
+  info.mobility.assign(n, 0.0);
+
+  for (std::size_t t = 0; t < n; ++t) {
+    const TaskId id{static_cast<TaskId::value_type>(t)};
+    info.exec_time[t] =
+        tech.require(graph.task(id).type, mapping.task_to_pe[t]).exec_time;
+  }
+
+  const auto& topo = graph.topological_order();
+
+  // Forward (ASAP) pass.
+  for (TaskId u : topo) {
+    double start = 0.0;
+    for (EdgeId e : graph.in_edges(u)) {
+      const TaskEdge& edge = graph.edge(e);
+      start = std::max(start, info.asap_start[edge.src.index()] +
+                                  info.exec_time[edge.src.index()] +
+                                  edge_delay(graph, edge, mapping, arch));
+    }
+    info.asap_start[u.index()] = start;
+    info.critical_path =
+        std::max(info.critical_path, start + info.exec_time[u.index()]);
+  }
+
+  // Backward (ALAP) pass anchored at min(deadline, period); if the period
+  // is tighter than the critical path, anchor at the critical path so the
+  // mobility values stay non-negative and still rank tasks usefully.
+  const double anchor = std::max(mode.period, info.critical_path);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const TaskId u = *it;
+    double limit = anchor;
+    if (const auto& dl = graph.task(u).deadline)
+      limit = std::min(limit, std::max(*dl, info.asap_start[u.index()] +
+                                                info.exec_time[u.index()]));
+    double latest_finish = limit;
+    for (EdgeId e : graph.out_edges(u)) {
+      const TaskEdge& edge = graph.edge(e);
+      latest_finish =
+          std::min(latest_finish,
+                   info.alap_start[edge.dst.index()] -
+                       edge_delay(graph, edge, mapping, arch));
+    }
+    info.alap_start[u.index()] = latest_finish - info.exec_time[u.index()];
+    info.mobility[u.index()] = std::max(
+        0.0, info.alap_start[u.index()] - info.asap_start[u.index()]);
+  }
+  return info;
+}
+
+namespace {
+
+/// Maximum number of simultaneously running intervals.
+int max_concurrency(std::vector<std::pair<double, double>> intervals) {
+  std::vector<std::pair<double, int>> events;
+  events.reserve(intervals.size() * 2);
+  for (const auto& [start, end] : intervals) {
+    events.emplace_back(start, +1);
+    events.emplace_back(end, -1);
+  }
+  // Process ends before starts at equal times (back-to-back is sequential).
+  std::sort(events.begin(), events.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second < b.second;
+            });
+  int current = 0, best = 0;
+  for (const auto& [time, delta] : events) {
+    current += delta;
+    best = std::max(best, current);
+  }
+  return best;
+}
+
+/// Greedy extra-core addition into `set` (already holding the base cores)
+/// until `desired` counts are met or `capacity` is exhausted.
+void add_extra_cores(CoreSet& set,
+                     const std::map<TaskTypeId, int>& desired,
+                     const TechLibrary& tech, PeId pe, double capacity) {
+  double used = set.area(tech, pe);
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    // Pick the type with the largest remaining deficit whose extra core
+    // still fits; ties resolved toward the smaller core.
+    TaskTypeId best_type;
+    int best_deficit = 0;
+    double best_area = 0.0;
+    for (const auto& [type, want] : desired) {
+      const int deficit = want - set.count_of(type);
+      if (deficit <= 0) continue;
+      const double area = tech.require(type, pe).area;
+      if (used + area > capacity) continue;
+      if (deficit > best_deficit ||
+          (deficit == best_deficit && area < best_area)) {
+        best_type = type;
+        best_deficit = deficit;
+        best_area = area;
+      }
+    }
+    if (best_deficit > 0) {
+      set.add_core(best_type);
+      used += best_area;
+      progress = true;
+    }
+  }
+}
+
+}  // namespace
+
+CoreAllocation ref_build_core_allocation(const System& system,
+                                         const MultiModeMapping& mapping,
+                                         const AllocationOptions& options) {
+  const Omsm& omsm = system.omsm;
+  const Architecture& arch = system.arch;
+  const TechLibrary& tech = system.tech;
+  const std::size_t n_modes = omsm.mode_count();
+  const std::size_t n_pes = arch.pe_count();
+
+  CoreAllocation alloc;
+  alloc.per_mode.assign(n_modes, std::vector<CoreSet>(n_pes));
+
+  // Per-mode mobility analysis (Fig. 4 line 04).
+  std::vector<MobilityInfo> mobility;
+  mobility.reserve(n_modes);
+  for (std::size_t m = 0; m < n_modes; ++m) {
+    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
+    mobility.push_back(ref_compute_mobility(omsm.mode(mode_id),
+                                            mapping.modes[m], arch, tech));
+  }
+
+  // desired[m][pe] : per-type core demand in mode m on PE pe.
+  std::vector<std::vector<std::map<TaskTypeId, int>>> desired(
+      n_modes, std::vector<std::map<TaskTypeId, int>>(n_pes));
+
+  for (std::size_t m = 0; m < n_modes; ++m) {
+    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
+    const Mode& mode = omsm.mode(mode_id);
+    const MobilityInfo& mob = mobility[m];
+    // Group this mode's hardware tasks by (pe, type).
+    std::map<std::pair<PeId, TaskTypeId>, std::vector<std::size_t>> groups;
+    for (std::size_t t = 0; t < mode.graph.task_count(); ++t) {
+      const PeId pe = mapping.modes[m].task_to_pe[t];
+      if (!is_hardware(arch.pe(pe).kind)) continue;
+      const TaskId id{static_cast<TaskId::value_type>(t)};
+      groups[{pe, mode.graph.task(id).type}].push_back(t);
+    }
+    for (const auto& [key, tasks] : groups) {
+      const auto& [pe, type] = key;
+      int demand = 1;
+      if (options.allocate_parallel_cores && tasks.size() > 1) {
+        // Extra cores pay off only for tasks that can actually overlap and
+        // are urgent (low mobility).
+        std::vector<std::pair<double, double>> windows;
+        const double mobility_cap =
+            options.mobility_threshold * mode.period;
+        for (std::size_t t : tasks) {
+          if (mob.mobility[t] > mobility_cap) continue;
+          windows.emplace_back(mob.asap_start[t],
+                               mob.asap_start[t] + mob.exec_time[t]);
+        }
+        demand = std::max(1, max_concurrency(std::move(windows)));
+      }
+      desired[m][pe.index()][type] = demand;
+    }
+  }
+
+  for (PeId p : arch.pe_ids()) {
+    const Pe& pe = arch.pe(p);
+    if (!is_hardware(pe.kind)) continue;
+
+    if (pe.kind == PeKind::kAsic) {
+      // Static silicon: one set for all modes, per-type max demand.
+      std::map<TaskTypeId, int> merged;
+      for (std::size_t m = 0; m < n_modes; ++m)
+        for (const auto& [type, want] : desired[m][p.index()])
+          merged[type] = std::max(merged[type], want);
+      CoreSet set;
+      for (const auto& [type, want] : merged) set.set_count(type, 1);
+      add_extra_cores(set, merged, tech, p, pe.area_capacity);
+      for (std::size_t m = 0; m < n_modes; ++m)
+        alloc.per_mode[m][p.index()] = set;
+    } else {
+      // FPGA: reconfigurable per mode.
+      for (std::size_t m = 0; m < n_modes; ++m) {
+        CoreSet set;
+        for (const auto& [type, want] : desired[m][p.index()])
+          set.set_count(type, 1);
+        add_extra_cores(set, desired[m][p.index()], tech, p,
+                        pe.area_capacity);
+        alloc.per_mode[m][p.index()] = std::move(set);
+      }
+    }
+  }
+  return alloc;
 }
 
 }  // namespace mmsyn::refk

@@ -1,6 +1,9 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -25,6 +28,21 @@ std::string join_choices(const std::vector<std::string>& choices) {
     out += c;
   }
   return out;
+}
+
+/// True when all of `text` is one in-range int64 (`integer`) or finite
+/// double. strtoll/strtod alone would read "abc" as 0, "3x" as 3 and skip
+/// leading blanks.
+bool parses_as_number(const std::string& text, bool integer) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const double value =
+      integer ? static_cast<double>(std::strtoll(text.c_str(), &end, 10))
+              : std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size() && errno != ERANGE &&
+         std::isfinite(value);
 }
 
 }  // namespace
@@ -68,6 +86,14 @@ bool Flags::set_value(const std::string& name, const std::string& text) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    return false;
+  }
+  const Kind kind = it->second.kind;
+  if ((kind == Kind::kInt || kind == Kind::kDouble) &&
+      !parses_as_number(text, kind == Kind::kInt)) {
+    std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
+                 text.c_str(), name.c_str(),
+                 kind == Kind::kInt ? "an integer" : "a finite number");
     return false;
   }
   if (it->second.kind == Kind::kChoice) {

@@ -1,7 +1,8 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 //
 // Supports `--name value`, `--name=value` and boolean `--name`. Unknown
-// flags are an error so typos in experiment scripts fail loudly.
+// flags, and int/double values that are not entirely one number in
+// range, are an error so typos in experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "core/allocation_builder.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "model/system.hpp"
@@ -10,14 +10,11 @@
 namespace mmsyn {
 namespace {
 
-/// Maximum number of simultaneously running intervals.
-int max_concurrency(std::vector<std::pair<double, double>> intervals) {
-  std::vector<std::pair<double, int>> events;
-  events.reserve(intervals.size() * 2);
-  for (const auto& [start, end] : intervals) {
-    events.emplace_back(start, +1);
-    events.emplace_back(end, -1);
-  }
+constexpr std::size_t kSoftware = static_cast<std::size_t>(-1);
+
+/// Maximum number of simultaneously running windows, given as (time, +1)
+/// start and (time, -1) end events. Sorts `events` in place.
+int max_concurrency(std::vector<std::pair<double, int>>& events) {
   // Process ends before starts at equal times (back-to-back is sequential).
   std::sort(events.begin(), events.end(),
             [](const auto& a, const auto& b) {
@@ -32,22 +29,27 @@ int max_concurrency(std::vector<std::pair<double, double>> intervals) {
   return best;
 }
 
-/// Greedy extra-core addition into `set` (already holding the base cores)
-/// until `desired` counts are met or `capacity` is exhausted.
-void add_extra_cores(CoreSet& set,
-                     const std::map<TaskTypeId, int>& desired,
-                     const TechLibrary& tech, PeId pe, double capacity) {
+/// The core set of hardware PE `pe` for a per-type demand row (`desired[t]`
+/// cores of type t, 0 = none wanted): one core per wanted type, then greedy
+/// extra cores until every demand is met or `capacity` is exhausted.
+CoreSet allocate_cores(std::span<const int> desired, const TechLibrary& tech,
+                       PeId pe, double capacity) {
+  CoreSet set;
+  for (std::size_t t = 0; t < desired.size(); ++t)
+    if (desired[t] > 0)
+      set.set_count(TaskTypeId{static_cast<TaskTypeId::value_type>(t)}, 1);
   double used = set.area(tech, pe);
   bool progress = true;
   while (progress) {
     progress = false;
     // Pick the type with the largest remaining deficit whose extra core
-    // still fits; ties resolved toward the smaller core.
+    // still fits; ties resolved toward the smaller core, then the lower
+    // type id. The set holds exactly the wanted types, ascending.
     TaskTypeId best_type;
     int best_deficit = 0;
     double best_area = 0.0;
-    for (const auto& [type, want] : desired) {
-      const int deficit = want - set.count_of(type);
+    for (const auto& [type, count] : set.entries()) {
+      const int deficit = desired[type.index()] - count;
       if (deficit <= 0) continue;
       const double area = tech.require(type, pe).area;
       if (used + area > capacity) continue;
@@ -64,6 +66,7 @@ void add_extra_cores(CoreSet& set,
       progress = true;
     }
   }
+  return set;
 }
 
 }  // namespace
@@ -76,81 +79,86 @@ CoreAllocation build_core_allocation(const System& system,
   const TechLibrary& tech = system.tech;
   const std::size_t n_modes = omsm.mode_count();
   const std::size_t n_pes = arch.pe_count();
+  const std::size_t n_types = tech.type_count();
 
   CoreAllocation alloc;
   alloc.per_mode.assign(n_modes, std::vector<CoreSet>(n_pes));
 
-  // Per-mode mobility analysis (Fig. 4 line 04).
-  std::vector<MobilityInfo> mobility;
-  mobility.reserve(n_modes);
-  for (std::size_t m = 0; m < n_modes; ++m) {
-    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
-    mobility.push_back(compute_mobility(omsm.mode(mode_id), mapping.modes[m],
-                                        arch, tech));
-  }
+  // Flat PE×type tables, entry pe * n_types + type. `group_size` counts the
+  // current mode's hardware tasks per (pe, type) group and `demand` holds
+  // that mode's core demand (0 = no task); `asic_demand` folds the per-type
+  // maximum over all modes, since ASIC silicon is static.
+  std::vector<int> group_size(n_pes * n_types);
+  std::vector<int> demand(n_pes * n_types);
+  std::vector<int> asic_demand(n_pes * n_types, 0);
+  std::vector<std::size_t> task_group;  // per task; kSoftware off hardware
+  std::vector<std::pair<double, int>> events;
+  const auto row = [n_types](std::vector<int>& table, std::size_t pe) {
+    return std::span<int>(table).subspan(pe * n_types, n_types);
+  };
 
-  // desired[m][pe] : per-type core demand in mode m on PE pe.
-  std::vector<std::vector<std::map<TaskTypeId, int>>> desired(
-      n_modes, std::vector<std::map<TaskTypeId, int>>(n_pes));
-
   for (std::size_t m = 0; m < n_modes; ++m) {
-    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
-    const Mode& mode = omsm.mode(mode_id);
-    const MobilityInfo& mob = mobility[m];
-    // Group this mode's hardware tasks by (pe, type).
-    std::map<std::pair<PeId, TaskTypeId>, std::vector<std::size_t>> groups;
-    for (std::size_t t = 0; t < mode.graph.task_count(); ++t) {
-      const PeId pe = mapping.modes[m].task_to_pe[t];
+    const Mode& mode = omsm.mode(ModeId{static_cast<ModeId::value_type>(m)});
+    const TaskGraph& graph = mode.graph;
+    const std::vector<PeId>& task_to_pe = mapping.modes[m].task_to_pe;
+
+    std::fill(group_size.begin(), group_size.end(), 0);
+    task_group.assign(graph.task_count(), kSoftware);
+    bool shared = false;
+    for (std::size_t t = 0; t < graph.task_count(); ++t) {
+      const PeId pe = task_to_pe[t];
       if (!is_hardware(arch.pe(pe).kind)) continue;
       const TaskId id{static_cast<TaskId::value_type>(t)};
-      groups[{pe, mode.graph.task(id).type}].push_back(t);
+      task_group[t] = pe.index() * n_types + graph.task(id).type.index();
+      shared |= ++group_size[task_group[t]] > 1;
     }
-    for (const auto& [key, tasks] : groups) {
-      const auto& [pe, type] = key;
-      int demand = 1;
-      if (options.allocate_parallel_cores && tasks.size() > 1) {
-        // Extra cores pay off only for tasks that can actually overlap and
-        // are urgent (low mobility).
-        std::vector<std::pair<double, double>> windows;
-        const double mobility_cap =
-            options.mobility_threshold * mode.period;
-        for (std::size_t t : tasks) {
-          if (mob.mobility[t] > mobility_cap) continue;
-          windows.emplace_back(mob.asap_start[t],
-                               mob.asap_start[t] + mob.exec_time[t]);
+    for (std::size_t g = 0; g < demand.size(); ++g)
+      demand[g] = group_size[g] > 0 ? 1 : 0;
+
+    if (options.allocate_parallel_cores && shared) {
+      // Fig. 4 line 04. Extra cores pay off only for tasks of one group
+      // that can actually overlap and are urgent (low mobility), so only a
+      // mode with a shared group needs its mobility.
+      const MobilityInfo mob =
+          compute_mobility(mode, mapping.modes[m], arch, tech);
+      const double mobility_cap = options.mobility_threshold * mode.period;
+      for (std::size_t g = 0; g < group_size.size(); ++g) {
+        if (group_size[g] < 2) continue;
+        events.clear();
+        for (std::size_t t = 0; t < graph.task_count(); ++t) {
+          if (task_group[t] != g || mob.mobility[t] > mobility_cap) continue;
+          events.emplace_back(mob.asap_start[t], +1);
+          events.emplace_back(mob.asap_start[t] + mob.exec_time[t], -1);
         }
-        demand = std::max(1, max_concurrency(std::move(windows)));
+        demand[g] = std::max(1, max_concurrency(events));
       }
-      desired[m][pe.index()][type] = demand;
+    }
+
+    for (std::size_t p = 0; p < n_pes; ++p) {
+      const Pe& pe = arch.pes()[p];
+      if (pe.kind == PeKind::kAsic) {
+        const std::span<int> merged = row(asic_demand, p);
+        const std::span<int> want = row(demand, p);
+        for (std::size_t t = 0; t < n_types; ++t)
+          merged[t] = std::max(merged[t], want[t]);
+      } else if (pe.kind == PeKind::kFpga) {
+        // Reconfigurable: one set per mode.
+        alloc.per_mode[m][p] =
+            allocate_cores(row(demand, p), tech,
+                           PeId{static_cast<PeId::value_type>(p)},
+                           pe.area_capacity);
+      }
     }
   }
 
-  for (PeId p : arch.pe_ids()) {
-    const Pe& pe = arch.pe(p);
-    if (!is_hardware(pe.kind)) continue;
-
-    if (pe.kind == PeKind::kAsic) {
-      // Static silicon: one set for all modes, per-type max demand.
-      std::map<TaskTypeId, int> merged;
-      for (std::size_t m = 0; m < n_modes; ++m)
-        for (const auto& [type, want] : desired[m][p.index()])
-          merged[type] = std::max(merged[type], want);
-      CoreSet set;
-      for (const auto& [type, want] : merged) set.set_count(type, 1);
-      add_extra_cores(set, merged, tech, p, pe.area_capacity);
-      for (std::size_t m = 0; m < n_modes; ++m)
-        alloc.per_mode[m][p.index()] = set;
-    } else {
-      // FPGA: reconfigurable per mode.
-      for (std::size_t m = 0; m < n_modes; ++m) {
-        CoreSet set;
-        for (const auto& [type, want] : desired[m][p.index()])
-          set.set_count(type, 1);
-        add_extra_cores(set, desired[m][p.index()], tech, p,
-                        pe.area_capacity);
-        alloc.per_mode[m][p.index()] = std::move(set);
-      }
-    }
+  // Static silicon: one set for all modes, from the per-type max demand.
+  for (std::size_t p = 0; p < n_pes; ++p) {
+    const Pe& pe = arch.pes()[p];
+    if (pe.kind != PeKind::kAsic) continue;
+    const CoreSet set = allocate_cores(row(asic_demand, p), tech,
+                                       PeId{static_cast<PeId::value_type>(p)},
+                                       pe.area_capacity);
+    for (std::size_t m = 0; m < n_modes; ++m) alloc.per_mode[m][p] = set;
   }
   return alloc;
 }

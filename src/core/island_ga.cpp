@@ -32,6 +32,10 @@ struct IslandGa::Island {
 
 void IslandGa::validate(const GaOptions& ga_options,
                         const IslandOptions& island_options) {
+  if (ga_options.population_size < 1)
+    throw std::invalid_argument(
+        "population: --population must be >= 1 (got " +
+        std::to_string(ga_options.population_size) + ")");
   if (island_options.islands < 1)
     throw std::invalid_argument(
         "islands: --islands must be >= 1 (got " +

@@ -49,18 +49,20 @@ struct IslandOptions {
 class IslandGa {
 public:
   /// Throws std::invalid_argument (with a flag-level actionable message)
-  /// when the island topology is inconsistent with the GA options; see
-  /// validate().
+  /// when the population is empty or the island topology is inconsistent
+  /// with the GA options; see validate().
   IslandGa(const System& system, const Evaluator& evaluator,
            FitnessParams fitness_params, AllocationOptions alloc_options,
            GaOptions ga_options, IslandOptions island_options,
            std::uint64_t seed);
   ~IslandGa();
 
-  /// Validates an island configuration against the GA options it will
-  /// run with. Throws std::invalid_argument naming the offending flag and
-  /// the fix; returns normally otherwise. Called by the constructor;
-  /// exposed so CLI frontends can fail fast before building evaluators.
+  /// Validates the population size (>= 1) and an island configuration
+  /// against the GA options it will run with. Throws
+  /// std::invalid_argument naming the offending flag and the fix; returns
+  /// normally otherwise. Called by the constructor (so by every
+  /// synthesis); exposed so CLI frontends can fail fast before building
+  /// evaluators.
   static void validate(const GaOptions& ga_options,
                        const IslandOptions& island_options);
 

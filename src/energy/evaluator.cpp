@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "energy/artifact_hash.hpp"
 #include "power/power_model.hpp"
@@ -30,21 +29,25 @@ failpoint::Site fp_cache_insert{"cache.insert"};
 }  // namespace
 
 std::size_t ModeEvalKeyHash::operator()(const ModeEvalKey& key) const {
-  Fnv1a64 h;
-  h.add(static_cast<std::uint64_t>(key.mode));
-  h.add(key.options_fingerprint);
+  // Bucket placement only: nothing persists this value (checkpoints store
+  // the memo in FIFO order), so a multiply–xorshift fold of whole words
+  // is enough; the persisted digests stay FNV-1a. A collision costs a key
+  // compare, never a result.
+  std::uint64_t h = key.options_fingerprint;
+  const auto fold = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+  };
+  fold(key.mode);
   for (PeId pe : key.task_to_pe)
-    h.add(static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(pe.value())));
+    fold(static_cast<std::uint32_t>(pe.value()));
   for (const CoreSet& set : key.cores) {
-    h.add(static_cast<std::uint64_t>(set.entries().size()));
-    for (const auto& [type, count] : set.entries()) {
-      h.add(static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(type.value())));
-      h.add(static_cast<std::uint64_t>(count));
-    }
+    fold(set.entries().size());
+    for (const auto& [type, count] : set.entries())
+      fold((std::uint64_t{static_cast<std::uint32_t>(type.value())} << 32) |
+           static_cast<std::uint32_t>(count));
   }
-  return static_cast<std::size_t>(h.digest());
+  return static_cast<std::size_t>(h);
 }
 
 const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key) {

@@ -127,6 +127,8 @@ struct ModeEvalKey {
   friend bool operator==(const ModeEvalKey&, const ModeEvalKey&) = default;
 };
 
+/// In-memory bucket hash of a ModeEvalKey: a word-wise mix, never
+/// persisted (checkpoints and digests use FNV-1a, common/checksum.hpp).
 struct ModeEvalKeyHash {
   std::size_t operator()(const ModeEvalKey& key) const;
 };

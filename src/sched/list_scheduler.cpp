@@ -7,9 +7,9 @@
 //    slot columns) lives in a thread-local bump Arena that is reset — not
 //    freed — between calls;
 //  - timelines are pooled and cleared, never reallocated;
-//  - CL routing uses a P×P CSR link table built once per call from the
-//    architecture, replacing the per-edge `links_between` vector
-//    materialisation;
+//  - CL routing uses a P×P CSR link table (sched/link_table.hpp) built
+//    once per call from the architecture, replacing the per-edge
+//    `links_between` vector materialisation;
 //  - the ready queue is a binary heap over 128-bit packed keys (priority
 //    as an order-preserving integer, tie-broken by task id), replacing the
 //    O(n²) linear selection scan.
@@ -23,22 +23,20 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "model/architecture.hpp"
 #include "model/omsm.hpp"
 #include "model/tech_library.hpp"
+#include "sched/link_table.hpp"
 #include "sched/timeline.hpp"
 
 namespace mmsyn {
 namespace {
 
-constexpr double kUnroutablePenalty = 1e6;  // seconds; flags broken routing
 constexpr std::int32_t kNoGroup = -1;
 
 /// Per-thread scratch reused across list_schedule calls. The arena holds
@@ -80,71 +78,6 @@ private:
   std::size_t used_ = 0;
 };
 
-/// CSR table of the CLs connecting each ordered PE pair, row (a, b) in
-/// ascending CL-id order — exactly the sequence `links_between(a, b)`
-/// yields, so routing ties resolve identically.
-struct LinkTable {
-  std::size_t pe_count = 0;
-  const std::int32_t* offsets = nullptr;  // pe_count² + 1 entries
-  const std::int32_t* cls = nullptr;
-
-  [[nodiscard]] std::span<const std::int32_t> row(std::size_t a,
-                                                  std::size_t b) const {
-    const std::size_t r = a * pe_count + b;
-    return {cls + offsets[r],
-            static_cast<std::size_t>(offsets[r + 1] - offsets[r])};
-  }
-};
-
-LinkTable build_link_table(const Architecture& arch, Arena& arena) {
-  const std::size_t P = arch.pe_count();
-  const std::size_t C = arch.cl_count();
-  const std::size_t rows = P * P;
-  std::int32_t* offsets = arena.alloc_filled<std::int32_t>(rows + 1, 0);
-  // Distinct attached PEs per CL (membership semantics: a PE listed twice
-  // still contributes one link, matching links_between).
-  std::int32_t* att = arena.alloc<std::int32_t>(P);
-  auto distinct_attached = [&](std::size_t c) -> std::size_t {
-    const ClId id{static_cast<ClId::value_type>(c)};
-    std::size_t k = 0;
-    for (PeId p : arch.cl(id).attached) {
-      const auto v = static_cast<std::int32_t>(p.index());
-      bool seen = false;
-      for (std::size_t i = 0; i < k; ++i) seen |= (att[i] == v);
-      if (!seen) att[k++] = v;
-    }
-    return k;
-  };
-
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::size_t k = distinct_attached(c);
-    for (std::size_t i = 0; i < k; ++i)
-      for (std::size_t j = i + 1; j < k; ++j) {
-        const auto a = static_cast<std::size_t>(att[i]);
-        const auto b = static_cast<std::size_t>(att[j]);
-        ++offsets[a * P + b + 1];
-        ++offsets[b * P + a + 1];
-      }
-  }
-  for (std::size_t r = 0; r < rows; ++r) offsets[r + 1] += offsets[r];
-
-  std::int32_t* cls = arena.alloc<std::int32_t>(
-      static_cast<std::size_t>(offsets[rows]));
-  std::int32_t* cursor = arena.alloc<std::int32_t>(rows);
-  std::copy(offsets, offsets + rows, cursor);
-  for (std::size_t c = 0; c < C; ++c) {  // ascending c => ascending per row
-    const std::size_t k = distinct_attached(c);
-    for (std::size_t i = 0; i < k; ++i)
-      for (std::size_t j = i + 1; j < k; ++j) {
-        const auto a = static_cast<std::size_t>(att[i]);
-        const auto b = static_cast<std::size_t>(att[j]);
-        cls[cursor[a * P + b]++] = static_cast<std::int32_t>(c);
-        cls[cursor[b * P + a]++] = static_cast<std::int32_t>(c);
-      }
-  }
-  return LinkTable{P, offsets, cls};
-}
-
 /// Packs (priority, task id) into one 128-bit key so the ready queue
 /// orders by a single integer compare: higher priority wins, ties go to
 /// the lower task id. The double is mapped to an order-preserving uint64
@@ -185,18 +118,9 @@ std::vector<double> bottom_levels(const TaskGraph& graph,
     double tail = 0.0;
     for (EdgeId e : graph.out_edges(u)) {
       const TaskEdge& edge = graph.edge(e);
-      const PeId src_pe = mapping.task_to_pe[edge.src.index()];
-      const PeId dst_pe = mapping.task_to_pe[edge.dst.index()];
-      double comm = 0.0;
-      if (src_pe != dst_pe) {
-        comm = std::numeric_limits<double>::infinity();
-        for (std::int32_t c : links.row(src_pe.index(), dst_pe.index())) {
-          const Cl& link = arch.cl(ClId{static_cast<ClId::value_type>(c)});
-          comm = std::min(comm,
-                          link.startup_latency + edge.data_bits / link.bandwidth);
-        }
-        if (!std::isfinite(comm)) comm = kUnroutablePenalty;
-      }
+      const double comm = best_case_delay(
+          links, arch, mapping.task_to_pe[edge.src.index()],
+          mapping.task_to_pe[edge.dst.index()], edge.data_bits);
       tail = std::max(tail, comm + level[edge.dst.index()]);
     }
     level[u.index()] = exec[u.index()] + tail;

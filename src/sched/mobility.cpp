@@ -1,35 +1,14 @@
 #include "sched/mobility.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
+#include "common/arena.hpp"
 #include "model/architecture.hpp"
 #include "model/omsm.hpp"
 #include "model/tech_library.hpp"
+#include "sched/link_table.hpp"
 
 namespace mmsyn {
-namespace {
-
-/// Contention-free delay estimate of edge `e` under `mapping`.
-double edge_delay(const TaskGraph& graph, const TaskEdge& e,
-                  const ModeMapping& mapping, const Architecture& arch) {
-  (void)graph;
-  const PeId src_pe = mapping.task_to_pe[e.src.index()];
-  const PeId dst_pe = mapping.task_to_pe[e.dst.index()];
-  if (src_pe == dst_pe) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (ClId cl : arch.links_between(src_pe, dst_pe)) {
-    const Cl& link = arch.cl(cl);
-    best = std::min(best, link.startup_latency + e.data_bits / link.bandwidth);
-  }
-  // Unconnected PEs: treat as a huge (but finite) delay so mobility stays
-  // well-defined; the list scheduler reports the infeasibility properly.
-  if (!std::isfinite(best)) best = 1e6;
-  return best;
-}
-
-}  // namespace
 
 MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
                               const Architecture& arch,
@@ -48,6 +27,22 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
         tech.require(graph.task(id).type, mapping.task_to_pe[t]).exec_time;
   }
 
+  // Contention-free delay of every edge, computed once for both passes.
+  // Unconnected PEs get kUnroutablePenalty (huge but finite), so mobility
+  // stays well-defined; the list scheduler reports the infeasibility.
+  thread_local Arena arena{1 << 12};
+  arena.reset();
+  const LinkTable links = build_link_table(arch, arena);
+  double* delay = arena.alloc<double>(graph.edge_count());
+  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+    const TaskEdge& edge =
+        graph.edge(EdgeId{static_cast<EdgeId::value_type>(e)});
+    delay[e] = best_case_delay(links, arch,
+                               mapping.task_to_pe[edge.src.index()],
+                               mapping.task_to_pe[edge.dst.index()],
+                               edge.data_bits);
+  }
+
   const auto& topo = graph.topological_order();
 
   // Forward (ASAP) pass.
@@ -57,7 +52,7 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
       const TaskEdge& edge = graph.edge(e);
       start = std::max(start, info.asap_start[edge.src.index()] +
                                   info.exec_time[edge.src.index()] +
-                                  edge_delay(graph, edge, mapping, arch));
+                                  delay[e.index()]);
     }
     info.asap_start[u.index()] = start;
     info.critical_path =
@@ -77,10 +72,8 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
     double latest_finish = limit;
     for (EdgeId e : graph.out_edges(u)) {
       const TaskEdge& edge = graph.edge(e);
-      latest_finish =
-          std::min(latest_finish,
-                   info.alap_start[edge.dst.index()] -
-                       edge_delay(graph, edge, mapping, arch));
+      latest_finish = std::min(
+          latest_finish, info.alap_start[edge.dst.index()] - delay[e.index()]);
     }
     info.alap_start[u.index()] = latest_finish - info.exec_time[u.index()];
     info.mobility[u.index()] = std::max(

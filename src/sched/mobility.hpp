@@ -32,7 +32,9 @@ struct MobilityInfo {
 ///
 /// Communication delay between tasks on different PEs is estimated with the
 /// fastest CL connecting the two PEs (startup + bits/bandwidth); same-PE
-/// edges cost zero. The ALAP pass anchors each task at
+/// edges cost zero and unconnected pairs kUnroutablePenalty — the
+/// `best_case_delay` rule the list scheduler's priorities share
+/// (sched/link_table.hpp). The ALAP pass anchors each task at
 /// min(deadline, period) and each sink at the mode period.
 [[nodiscard]] MobilityInfo compute_mobility(const Mode& mode,
                                             const ModeMapping& mapping,

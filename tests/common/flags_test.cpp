@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace mmsyn {
@@ -87,6 +89,45 @@ TEST(Flags, HelpReturnsFalse) {
   Flags flags = make_flags();
   Argv argv({"--help"});
   EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+}
+
+TEST(Flags, NonNumericValuesAreRefused) {
+  // Each value alone must fail the parse: garbage, trailing junk, an
+  // empty or blank-led value, and numbers outside the type's range.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--count", "abc"},
+           {"--count", "3x"},
+           {"--count=1.5"},
+           {"--count="},
+           {"--count", " 7"},
+           {"--count", "99999999999999999999"},
+           {"--ratio", "abc"},
+           {"--ratio", "0.5s"},
+           {"--ratio", "1e999"},
+           {"--ratio", "inf"},
+       }) {
+    Flags flags = make_flags();
+    Argv argv(args);
+    EXPECT_FALSE(flags.parse(argv.argc(), argv.argv())) << args.back();
+    // A refused value leaves the default in place.
+    EXPECT_EQ(flags.get_int("count"), 5);
+    EXPECT_DOUBLE_EQ(flags.get_double("ratio"), 0.5);
+  }
+}
+
+TEST(Flags, SignedAndExponentNumbersParse) {
+  Flags flags = make_flags();
+  Argv argv({"--count", "-3", "--ratio", "1e-3"});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.get_int("count"), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("ratio"), 1e-3);
+
+  Flags more = make_flags();
+  Argv edge({"--count=-9223372036854775808", "--ratio=-2.5"});
+  ASSERT_TRUE(more.parse(edge.argc(), edge.argv()));
+  EXPECT_EQ(more.get_int("count"), INT64_MIN);
+  EXPECT_DOUBLE_EQ(more.get_double("ratio"), -2.5);
 }
 
 TEST(Flags, TypeMismatchThrows) {

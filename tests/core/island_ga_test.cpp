@@ -172,6 +172,20 @@ TEST(IslandModel, ImmediateCancelReturnsPartialResult) {
 TEST(IslandModel, ValidationErrorsAreActionable) {
   GaOptions ga = fast_ga();
   IslandOptions topology;
+  // An empty or negative population is refused for any island count,
+  // with a message naming the flag.
+  for (int population : {0, -3}) {
+    GaOptions empty = ga;
+    empty.population_size = population;
+    try {
+      IslandGa::validate(empty, topology);
+      ADD_FAILURE() << "population " << population << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--population"), std::string::npos)
+          << e.what();
+    }
+  }
+
   topology.islands = 0;
   EXPECT_THROW(IslandGa::validate(ga, topology), std::invalid_argument);
 

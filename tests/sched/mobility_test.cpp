@@ -92,6 +92,60 @@ TEST_F(MobilityTest, CrossPeEdgesAddCommDelay) {
   EXPECT_DOUBLE_EQ(info.asap_start[c_.index()], 13e-3);
 }
 
+// Edge-delay rules: the fastest connecting CL wins whatever its id, a PE
+// pair no CL connects costs the 1e6 s stand-in, and a CL listing a PE
+// twice still connects it once (list-scheduler priorities share them).
+TEST_F(MobilityTest, FastestOfSeveralClsSetsEdgeDelay) {
+  Cl fast;
+  fast.bandwidth = 1e7;           // 1000 bits -> 0.1 ms
+  fast.startup_latency = 0.2e-3;  // 0.3 ms in total, vs 1 ms on the bus
+  fast.attached = {pe0_, pe1_};
+  system_.arch.add_cl(fast);
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe1_;
+  const MobilityInfo info =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  const double comm = 0.2e-3 + 1000.0 / 1e7;
+  EXPECT_DOUBLE_EQ(info.asap_start[b_.index()], 10e-3 + comm);
+  EXPECT_DOUBLE_EQ(info.asap_start[c_.index()], 10e-3 + comm + 1e-3 + comm);
+  // ALAP mirrors it: c starts at 90 ms, so b must finish by 90 ms - comm.
+  EXPECT_DOUBLE_EQ(info.alap_start[b_.index()], 90e-3 - comm - 1e-3);
+}
+
+TEST_F(MobilityTest, UnconnectedPesCostTheStandInDelay) {
+  Pe island;
+  island.name = "ISLAND";  // no CL attaches it
+  const PeId pe2 = system_.arch.add_pe(island);
+  system_.tech.set_implementation(type_, pe2, {10e-3, 0.1, 0.0});
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe2;  // a->b and b->c are unroutable
+  const MobilityInfo info =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_DOUBLE_EQ(info.asap_start[b_.index()], 10e-3 + 1e6);
+  EXPECT_DOUBLE_EQ(info.asap_start[c_.index()], (10e-3 + 1e6) + 10e-3 + 1e6);
+  EXPECT_DOUBLE_EQ(info.critical_path, info.asap_start[c_.index()] + 10e-3);
+  for (double m : info.mobility) EXPECT_GE(m, 0.0);
+}
+
+TEST_F(MobilityTest, ClListingAPeTwiceConnectsItOnce) {
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe1_;
+  const MobilityInfo plain =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  system_.arch.cl(ClId{0}).attached = {pe0_, pe1_, pe0_};
+  const MobilityInfo doubled =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_EQ(doubled.asap_start, plain.asap_start);
+  EXPECT_EQ(doubled.alap_start, plain.alap_start);
+  EXPECT_DOUBLE_EQ(doubled.asap_start[b_.index()], 11e-3);
+
+  // Listing one PE twice does not link it to anything else.
+  system_.arch.cl(ClId{0}).attached = {pe1_, pe1_};
+  const MobilityInfo cut =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_DOUBLE_EQ(cut.asap_start[b_.index()], 10e-3 + 1e6);
+}
+
 TEST_F(MobilityTest, MappedExecTimesUsed) {
   const MobilityInfo sw =
       compute_mobility(mode_, all_on(pe0_), system_.arch, system_.tech);

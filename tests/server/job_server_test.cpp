@@ -159,6 +159,15 @@ TEST(JobServer, PoisonJobIsQuarantinedWithoutAffectingOthers) {
   const SubmitOutcome poison_submit = server.submit(poison);
   ASSERT_TRUE(poison_submit.accepted);  // parseable => admitted
 
+  // A valid system with an empty population: admitted, then refused by
+  // the GA's option validation on every attempt.
+  SubmitRequest empty_population;
+  empty_population.system_text = small_system_text();
+  empty_population.options = fast_options(8);
+  empty_population.options.population = 0;
+  const SubmitOutcome empty_submit = server.submit(empty_population);
+  ASSERT_TRUE(empty_submit.accepted);
+
   SubmitRequest healthy;
   healthy.system_text = small_system_text();
   healthy.options = fast_options(7);
@@ -171,14 +180,20 @@ TEST(JobServer, PoisonJobIsQuarantinedWithoutAffectingOthers) {
   EXPECT_NE(poison_result.result.report.find("invalid system"),
             std::string::npos);
 
-  // The healthy job is untouched by its neighbour's quarantine.
+  const WaitOutcome empty_result = server.wait(empty_submit.ok.job_id);
+  ASSERT_TRUE(empty_result.ok);
+  EXPECT_EQ(empty_result.result.outcome, JobOutcome::kQuarantined);
+  EXPECT_NE(empty_result.result.report.find("--population"),
+            std::string::npos);
+
+  // The healthy job is untouched by its neighbours' quarantine.
   const WaitOutcome healthy_result = server.wait(healthy_submit.ok.job_id);
   ASSERT_TRUE(healthy_result.ok);
   EXPECT_EQ(healthy_result.result.outcome, JobOutcome::kOk);
   EXPECT_FALSE(healthy_result.result.report.empty());
 
   const StatsReply stats = server.stats();
-  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.quarantined, 2u);
   EXPECT_EQ(stats.completed, 1u);
 }
 

@@ -59,6 +59,23 @@ if ! grep -q "bogus" /tmp/mmsyn-ci-power-err.txt; then
   echo "ci: FAIL (unknown-power error does not name the offending value)"
   exit 1
 fi
+# Numeric flags fail fast the same way: an empty population and a
+# non-numeric thread count must exit 1 (not die by a signal) with a
+# message naming the flag.
+for bad in "--population 0" "--threads abc"; do
+  flag=${bad%% *}
+  code=0
+  $SF --input "$IN" $ARGS $bad > /dev/null 2> /tmp/mmsyn-ci-flag-err.txt \
+    || code=$?
+  if [ "$code" != 1 ]; then
+    echo "ci: FAIL ($bad exited $code, expected 1)"
+    exit 1
+  fi
+  if ! grep -q -- "$flag" /tmp/mmsyn-ci-flag-err.txt; then
+    echo "ci: FAIL (the error for $bad does not name $flag)"
+    exit 1
+  fi
+done
 
 echo "== power-backend ablation gate =="
 # power_backends exits nonzero when a structural ordering (thermal >=
