@@ -107,17 +107,15 @@ int main(int argc, char** argv) {
 
     // End-to-end leg: a full synthesis under this backend must come back
     // auditor-clean (the audit replays the same backend).
-    if (backend.model != nullptr && !backend.model->is_reference_model()) {
-      SynthesisOptions sopts = options;
-      sopts.power = backend.model;
-      const SynthesisResult result = synthesize(system, sopts);
-      const AuditReport audit =
-          audit_result(system, result, audit_options_for(sopts));
-      row.audited_ok = audit.passed();
-      if (!audit.passed())
-        std::fprintf(stderr, "audit FAILED for backend '%s':\n%s",
-                     backend.name, audit.to_string().c_str());
-    }
+    SynthesisOptions sopts = options;
+    sopts.power = backend.model;
+    const SynthesisResult result = synthesize(system, sopts);
+    const AuditReport audit =
+        audit_result(system, result, audit_options_for(sopts));
+    row.audited_ok = audit.passed();
+    if (!audit.passed())
+      std::fprintf(stderr, "audit FAILED for backend '%s':\n%s",
+                   backend.name, audit.to_string().c_str());
     rows.push_back(row);
     std::fprintf(stderr, "done %s\n", backend.name);
   }

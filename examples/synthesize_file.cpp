@@ -120,6 +120,23 @@ int main(int argc, char** argv) {
                    "candidate-count cap of --exhaustive");
   if (!flags.parse(argc, argv)) return 1;
 
+  // Range checks the flag layer cannot make: a suite index outside
+  // 1..mul_count() would throw from make_mul, and a negative count would
+  // wrap through the unsigned casts below.
+  const std::int64_t mul = flags.get_int("export-mul");
+  if (mul != 0 && (mul < 1 || mul > mul_count())) {
+    std::fprintf(stderr, "--export-mul must be 1..%d (got %lld)\n",
+                 mul_count(), static_cast<long long>(mul));
+    return 1;
+  }
+  for (const char* name : {"exhaustive-budget", "mode-cache-capacity"}) {
+    if (flags.get_int(name) < 0) {
+      std::fprintf(stderr, "--%s must be >= 0 (got %lld)\n", name,
+                   static_cast<long long>(flags.get_int(name)));
+      return 1;
+    }
+  }
+
   if (flags.get_string("failpoints") == "list") {
     for (const std::string& site : failpoint::registered_sites())
       std::printf("%s\n", site.c_str());
@@ -138,14 +155,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failpoints armed: %s\n",
                  failpoint::active_spec().c_str());
 
-  if (flags.get_bool("export-smartphone") || flags.get_int("export-mul") > 0) {
+  if (flags.get_bool("export-smartphone") || mul > 0) {
     const std::string path = flags.get_string("output").empty()
                                  ? "exported.mmsyn"
                                  : flags.get_string("output");
     const System system = flags.get_bool("export-smartphone")
                               ? make_smart_phone()
-                              : make_mul(static_cast<int>(
-                                    flags.get_int("export-mul")));
+                              : make_mul(static_cast<int>(mul));
     save_system(path, system);
     std::printf("wrote %s (%s)\n", path.c_str(), system.name.c_str());
     return 0;

@@ -35,9 +35,9 @@ struct AuditOptions {
   PvDvsOptions dvs;
   /// Inner-loop list-scheduler priority used by the synthesis run.
   SchedulingPolicy scheduling_policy = SchedulingPolicy::kBottomLevel;
-  /// Power-model backend the result was produced with (null = the pinned
-  /// `paper` reference model). The replay evaluators must price static
-  /// power through the same backend or every recompute would mismatch.
+  /// Power-model backend the result was produced with (null means
+  /// `paper`). The replay evaluators must price static power through the
+  /// same backend or every recompute would mismatch.
   const PowerModel* power = nullptr;
   /// Relative tolerance for re-computed energies/powers/areas.
   double relative_tolerance = 1e-6;

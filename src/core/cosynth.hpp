@@ -63,8 +63,7 @@ struct SynthesisOptions {
   PipelineProfiler* profiler = nullptr;
 
   /// Power-model backend shared by the loop and final evaluators (see
-  /// power/backends.hpp). Null selects the pinned `paper` reference
-  /// model — bit-identical to releases without the power registry.
+  /// power/backends.hpp); null means `paper`.
   const PowerModel* power = nullptr;
 };
 

@@ -11,7 +11,6 @@
 #include "core/improvement.hpp"
 #include "core/run_control.hpp"
 #include "model/system.hpp"
-#include "power/power_model.hpp"
 
 namespace mmsyn {
 
@@ -321,7 +320,6 @@ std::uint64_t MappingGa::state_fingerprint() const {
   h.add(options_.population_size)
       .add(options_.max_generations)
       .add(options_.stagnation_limit)
-      .add(options_.diversity_floor)
       .add(options_.immigrant_fraction)
       .add(options_.replacement_fraction)
       .add(options_.gene_mutation_rate)
@@ -343,18 +341,8 @@ std::uint64_t MappingGa::state_fingerprint() const {
       .add(fitness_params_.timing_weight);
   h.add(alloc_options_.allocate_parallel_cores)
       .add(alloc_options_.mobility_threshold);
-  const EvaluationOptions& eval = evaluator_.options();
-  h.add(eval.use_dvs)
-      .add(static_cast<int>(eval.scheduling_policy))
-      .add(eval.dvs.max_iterations_per_node)
-      .add(eval.dvs.step_fraction)
-      .add(eval.dvs.min_relative_gain)
-      .add(eval.dvs.discrete_voltages)
-      .add(eval.dvs.scale_hardware);
-  // Reference power (null or `paper`) adds nothing — pre-power-registry
-  // checkpoints stay resumable; other backends fence the trajectory.
-  if (eval.power != nullptr && !eval.power->is_reference_model())
-    h.add(eval.power->fingerprint());
+  // What shapes a mode evaluation is the pipeline's to say.
+  h.add(evaluator_.options_fingerprint());
   for (double w : evaluator_.optimisation_weights()) h.add(w);
   h.add(codec_.genome_length());
   for (std::size_t g = 0; g < codec_.genome_length(); ++g)
@@ -715,22 +703,18 @@ bool MappingGa::step_generation(
       ++st.stagnation;
     }
 
-    const double diversity = population_diversity();
     if (observer)
       observer(GaProgress{st.generation, st.best.fitness, st.best.power_true,
-                          diversity, evaluations_, cache_hits_,
+                          population_diversity(), evaluations_, cache_hits_,
                           cache_lookups_, mode_cache_.hits(),
                           mode_cache_.lookups()});
 
-    // Line 02: convergence criterion — stagnation, optionally accelerated
-    // by a collapsed population. Latched in `converged` (and persisted in
-    // checkpoints): the diversity term is measured on the just-evaluated
-    // population, which the breeding below overwrites, so the decision
-    // could not be re-derived from a later snapshot.
-    if (st.stagnation >= options_.stagnation_limit ||
-        (options_.diversity_floor > 0.0 &&
-         diversity < options_.diversity_floor &&
-         st.stagnation >= options_.stagnation_limit / 2)) {
+    // Line 02: convergence criterion — stagnation. Latched in `converged`
+    // (and persisted in checkpoints): the island coordinator treats a
+    // converged island as finished — no further steps, no incoming
+    // migrants — and a resumed island must know that without re-running
+    // this step.
+    if (st.stagnation >= options_.stagnation_limit) {
       st.converged = true;
       return false;
     }

@@ -59,11 +59,6 @@ struct GaOptions {
   /// Convergence: stop after this many generations without improvement of
   /// the best individual.
   int stagnation_limit = 70;
-  /// Convergence: also stop when average pairwise diversity (sampled
-  /// normalised Hamming distance) drops below this value *and* the search
-  /// has stagnated for stagnation_limit/2 generations. Random immigrants
-  /// keep this from firing prematurely; 0 disables the check.
-  double diversity_floor = 0.0;
   /// Fraction of the population replaced by fresh random genomes each
   /// generation (random-immigrant diversity maintenance).
   double immigrant_fraction = 0.08;

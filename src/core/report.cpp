@@ -65,7 +65,7 @@ std::string implementation_report(const System& system,
                 me.dyn_power * 1e3, me.static_power * 1e3, me.makespan * 1e3,
                 me.timing_violation > 0 ? " | TIMING VIOLATION" : "");
 
-    // Power-model breakdown. The reference `paper` backend leaves
+    // Power-model breakdown. The `paper` backend leaves
     // baseline_static_power at exactly 0, so this block never renders for
     // it and paper reports stay byte-identical to pre-registry ones.
     if (me.baseline_static_power != 0.0) {

@@ -1,10 +1,10 @@
 #include "core/run_control.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/byte_codec.hpp"
 #include "common/checksum.hpp"
 #include "common/durable_file.hpp"
 #include "common/failpoint.hpp"
@@ -38,88 +38,20 @@ constexpr char kMagic[8] = {'M', 'M', 'S', 'Y', 'N', 'C', 'K', 'P'};
 // v7: same layout; the GA fingerprints no longer hash a random-engine
 // choice (Threefry is the only GA engine), and a one-island container
 // stores a zero migration schedule, so v6 fingerprints cannot match.
+// v8: same layout; every evaluation fingerprint now folds the power
+// backend (`paper` included), the GA state fingerprint takes the
+// evaluation options from it, and the removed diversity floor is no
+// longer hashed, so v7 fingerprints cannot match.
 // Any other version is rejected up front.
-constexpr std::uint32_t kVersion = 7;
+constexpr std::uint32_t kVersion = 8;
 
-class Writer {
-public:
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
+using Reader = ByteReader<CheckpointError>;
 
-  [[nodiscard]] const std::string& bytes() const { return bytes_; }
-
-private:
-  std::string bytes_;
-};
-
-class Reader {
-public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    if (pos_ >= bytes_.size())
-      throw CheckpointError("payload truncated");
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{u8()} << (8 * i);
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
-
-  /// A raw slice of `n` bytes (used for the length-prefixed per-island
-  /// payloads of the v4 container).
-  std::string_view raw(std::size_t n) {
-    if (n > bytes_.size() - pos_)
-      throw CheckpointError("payload truncated");
-    const std::string_view slice = bytes_.substr(pos_, n);
-    pos_ += n;
-    return slice;
-  }
-
-  /// Passes `n` through as the count of elements that take at least
-  /// `element_bytes` each; a count the bytes left cannot hold means a
-  /// damaged payload, rejected before it can reach an allocation.
-  std::uint64_t bounded(std::uint64_t n, std::uint64_t element_bytes) const {
-    if (n > (bytes_.size() - pos_) / element_bytes)
-      throw CheckpointError("element count " + std::to_string(n) +
-                            " exceeds the payload");
-    return n;
-  }
-
-  [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
-
-private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-void write_individual(Writer& w, const SnapshotIndividual& ind,
+void write_individual(ByteWriter& w, const SnapshotIndividual& ind,
                       std::size_t genome_length) {
   if (ind.genome.size() != genome_length)
     throw CheckpointError("inconsistent genome length in snapshot");
-  for (std::uint16_t gene : ind.genome) {
-    w.u8(static_cast<std::uint8_t>(gene & 0xff));
-    w.u8(static_cast<std::uint8_t>(gene >> 8));
-  }
+  for (std::uint16_t gene : ind.genome) w.u16(gene);
   w.f64(ind.fitness);
   w.f64(ind.violation);
   w.f64(ind.power_true);
@@ -132,11 +64,7 @@ void write_individual(Writer& w, const SnapshotIndividual& ind,
 SnapshotIndividual read_individual(Reader& r, std::size_t genome_length) {
   SnapshotIndividual ind;
   ind.genome.resize(genome_length);
-  for (std::uint16_t& gene : ind.genome) {
-    const std::uint16_t lo = r.u8();
-    const std::uint16_t hi = r.u8();
-    gene = static_cast<std::uint16_t>(lo | (hi << 8));
-  }
+  for (std::uint16_t& gene : ind.genome) gene = r.u16();
   ind.fitness = r.f64();
   ind.violation = r.f64();
   ind.power_true = r.f64();
@@ -147,7 +75,7 @@ SnapshotIndividual read_individual(Reader& r, std::size_t genome_length) {
   return ind;
 }
 
-void write_mode_key(Writer& w, const ModeEvalKey& key) {
+void write_mode_key(ByteWriter& w, const ModeEvalKey& key) {
   w.u32(key.mode);
   w.u64(key.options_fingerprint);
   w.u64(key.task_to_pe.size());
@@ -181,7 +109,7 @@ ModeEvalKey read_mode_key(Reader& r) {
   return key;
 }
 
-void write_mode_evaluation(Writer& w, const ModeEvaluation& m) {
+void write_mode_evaluation(ByteWriter& w, const ModeEvaluation& m) {
   // The memo never holds schedules (the GA hot loop drops them); a
   // schedule here means the snapshot was built from the wrong evaluator
   // configuration, which resume could not reproduce.
@@ -229,7 +157,7 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   const std::size_t genome_length =
       snapshot.population.empty() ? snapshot.best.genome.size()
                                   : snapshot.population.front().genome.size();
-  Writer w;
+  ByteWriter w;
   w.u64(snapshot.fingerprint);
   w.u64(genome_length);
   w.i32(snapshot.next_generation);
@@ -260,7 +188,7 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
     write_mode_key(w, key);
     write_mode_evaluation(w, value);
   }
-  return w.bytes();
+  return w.take();
 }
 
 GaSnapshot deserialize_ga(std::string_view payload) {
@@ -303,7 +231,7 @@ GaSnapshot deserialize_ga(std::string_view payload) {
     ModeEvaluation value = read_mode_evaluation(r);
     s.mode_cache.emplace_back(std::move(key), std::move(value));
   }
-  if (!r.done()) throw CheckpointError("trailing bytes in payload");
+  r.expect_end();
   return s;
 }
 
@@ -316,21 +244,18 @@ std::string serialize_container(const IslandSnapshot& snapshot) {
                           std::to_string(snapshot.islands.size()) +
                           " snapshots but declares " +
                           std::to_string(snapshot.island_count));
-  Writer w;
+  ByteWriter w;
   w.u64(snapshot.fingerprint);
   w.i32(snapshot.island_count);
   w.i32(snapshot.migration_interval);
   w.i32(snapshot.migrants);
   w.i64(snapshot.next_migration_generation);
-  std::string bytes = w.bytes();
   for (const GaSnapshot& island : snapshot.islands) {
     const std::string payload = serialize_ga(island);
-    Writer len;
-    len.u64(payload.size());
-    bytes += len.bytes();
-    bytes += payload;
+    w.u64(payload.size());
+    w.raw(payload);
   }
-  return bytes;
+  return w.take();
 }
 
 IslandSnapshot deserialize_container(std::string_view payload) {
@@ -348,7 +273,7 @@ IslandSnapshot deserialize_container(std::string_view payload) {
   s.islands.reserve(r.bounded(static_cast<std::uint64_t>(s.island_count), 8));
   for (std::int32_t i = 0; i < s.island_count; ++i)
     s.islands.push_back(deserialize_ga(r.raw(r.u64())));
-  if (!r.done()) throw CheckpointError("trailing bytes in payload");
+  r.expect_end();
   return s;
 }
 
@@ -375,17 +300,13 @@ void save_island_checkpoint_rotating(const std::string& path,
   if (keep < 1) keep = 1;
   const std::string payload = serialize_container(snapshot);
 
-  std::string file;
-  file.reserve(payload.size() + 24);
-  file.append(kMagic, sizeof kMagic);
-  Writer header;
-  header.u32(kVersion);
-  header.u64(payload.size());
-  file += header.bytes();
-  file += payload;
-  Writer trailer;
-  trailer.u32(crc32(payload));
-  file += trailer.bytes();
+  ByteWriter w;
+  w.raw({kMagic, sizeof kMagic});
+  w.u32(kVersion);
+  w.u64(payload.size());
+  w.raw(payload);
+  w.u32(crc32(payload));
+  const std::string file = w.take();
 
   const std::string tmp = path + ".tmp";
   try {
@@ -454,19 +375,17 @@ IslandSnapshot load_island_checkpoint(const std::string& path) {
   if (file.size() < sizeof kMagic + 12 ||
       file.compare(0, sizeof kMagic, kMagic, sizeof kMagic) != 0)
     throw CheckpointError("not a mmsyn checkpoint: " + path);
-  Reader header(std::string_view(file).substr(sizeof kMagic, 12));
-  const std::uint32_t version = header.u32();
+  Reader r(file);
+  (void)r.raw(sizeof kMagic);
+  const std::uint32_t version = r.u32();
   if (version != kVersion)
     throw CheckpointError("unsupported checkpoint version " +
                           std::to_string(version));
-  const std::uint64_t payload_size = header.u64();
-  const std::size_t payload_offset = sizeof kMagic + 12;
-  if (file.size() != payload_offset + payload_size + 4)
+  const std::uint64_t payload_size = r.u64();
+  if (file.size() != sizeof kMagic + 12 + payload_size + 4)
     throw CheckpointError("truncated checkpoint: " + path);
-  const std::string_view payload =
-      std::string_view(file).substr(payload_offset, payload_size);
-  Reader trailer(std::string_view(file).substr(payload_offset + payload_size));
-  if (trailer.u32() != crc32(payload))
+  const std::string_view payload = r.raw(payload_size);
+  if (r.u32() != crc32(payload))
     throw CheckpointError("CRC mismatch (corrupted file): " + path);
   return deserialize_container(payload);
 }

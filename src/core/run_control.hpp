@@ -73,9 +73,9 @@ struct GaSnapshot {
   std::uint64_t fingerprint = 0;
   int next_generation = 0;
   int stagnation = 0;
-  /// The convergence criterion has fired (v4): the diversity term of that
-  /// criterion is measured on the pre-breeding population, so a resumed
-  /// island could not re-derive the decision from the snapshot alone.
+  /// The convergence criterion has fired (v4): the island coordinator
+  /// treats a converged island as finished (no further steps, no incoming
+  /// migrants), and a resumed island must know that before its first step.
   /// Single-population checkpoints always carry false — a lone island
   /// stops at its first converged generation and never snapshots it.
   bool converged = false;

@@ -58,9 +58,8 @@ struct EvaluationOptions {
   /// Optional per-stage instrumentation (not fingerprinted; never alters
   /// any result).
   PipelineProfiler* profiler = nullptr;
-  /// Power-model backend (see power/power_model.hpp). Null selects the
-  /// pinned `paper` reference model (bit-identical to its absence); any
-  /// non-reference backend folds into the evaluation fingerprint.
+  /// Power-model backend (see power/power_model.hpp); null means `paper`.
+  /// Folded into the evaluation fingerprint.
   const PowerModel* power = nullptr;
 };
 
@@ -255,7 +254,7 @@ public:
   [[nodiscard]] const ModePipeline& pipeline() const { return pipeline_; }
 
   /// FNV-1a fingerprint of the options that shape a per-mode result
-  /// (DVS settings, scheduling policy, non-reference power backend);
+  /// (DVS settings, scheduling policy, power backend);
   /// baked into every ModeEvalKey so a cache snapshot can never be
   /// replayed under different options.
   [[nodiscard]] std::uint64_t options_fingerprint() const {

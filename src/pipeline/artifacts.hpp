@@ -51,7 +51,7 @@ struct ScaledSchedule {
   std::optional<PvDvsResult> dvs;
   /// Per-PE busy seconds (post-DVS activity durations). Computed only
   /// when the selected power model declares needs_pe_busy(); empty
-  /// otherwise, so the reference path does no extra work.
+  /// otherwise, so the other models' scale stage does no extra work.
   std::vector<double> pe_busy;
 };
 
@@ -73,8 +73,8 @@ struct ModeEvaluation {
   bool routable = true;
 
   // Power-model breakdown (power/power_model.hpp). All four stay 0 under
-  // the reference `paper` backend — the report's power-model detail block
-  // renders only when one is set, keeping paper reports byte-identical.
+  // the `paper` backend — the report's power-model detail block renders
+  // only when one is set, keeping paper reports byte-identical.
   /// Σ static power of the active components (the paper's value), watts.
   double baseline_static_power = 0.0;
   /// DPM: gross idle energy recovered by sleep states, joules/period.

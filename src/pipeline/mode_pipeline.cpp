@@ -8,28 +8,19 @@
 #include "model/omsm.hpp"
 #include "model/system.hpp"
 #include "model/tech_library.hpp"
+#include "power/backends.hpp"
 #include "power/power_model.hpp"
 #include "sched/validate.hpp"
-
-namespace mmsyn {
-namespace {
-
-/// True when the pipeline runs the pinned reference power path (the
-/// original inline static-power loop): no model, or the `paper` model.
-bool reference_power(const PowerModel* power) {
-  return power == nullptr || power->is_reference_model();
-}
-
-}  // namespace
-}  // namespace mmsyn
 
 namespace mmsyn {
 
 ModePipeline::ModePipeline(const System& system, PipelineOptions options)
     : system_(system), options_(options) {
-  // Full per-mode inputs. The field sequence is the pre-pipeline
-  // evaluator's options fingerprint, kept stable so cache keys and GA
-  // state fingerprints carry over unchanged.
+  // A null power model is the registry default (`paper`); resolving it
+  // once here leaves every stage a single code path.
+  if (options_.power == nullptr)
+    options_.power = power_backends().front().model;
+  // Full per-mode inputs: every option a stage reads.
   Fnv1a64 h;
   h.add(options_.use_dvs)
       .add(static_cast<int>(options_.scheduling_policy))
@@ -37,12 +28,8 @@ ModePipeline::ModePipeline(const System& system, PipelineOptions options)
       .add(options_.dvs.step_fraction)
       .add(options_.dvs.min_relative_gain)
       .add(options_.dvs.discrete_voltages)
-      .add(options_.dvs.scale_hardware);
-  // The reference power model contributes nothing (a null pointer and an
-  // explicit `paper` hash identically, and pre-power-registry keys carry
-  // over); any other backend folds its identity + knobs in, so e.g. a
-  // thermal result can never be served from a paper cache entry.
-  if (!reference_power(options_.power)) h.add(options_.power->fingerprint());
+      .add(options_.dvs.scale_hardware)
+      .add(options_.power->fingerprint());
   evaluation_fingerprint_ = h.digest();
 }
 
@@ -88,10 +75,8 @@ ScaledSchedule ModePipeline::scale(std::size_t m, const ModeMapping& mapping,
   const Mode& mode = system_.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)});
   ScaledSchedule out;
   // Per-PE busy accounting is only materialised for power models that
-  // declare they read it (dpm-idle); the reference path and the thermal
-  // model skip it entirely, leaving the hot loop untouched.
-  const bool want_busy = !reference_power(options_.power) &&
-                         options_.power->needs_pe_busy();
+  // declare they read it (dpm-idle); the others skip it entirely.
+  const bool want_busy = options_.power->needs_pe_busy();
   if (options_.use_dvs) {
     const DvsGraph& g = serialized.graph;
     std::vector<double> penalty;
@@ -168,28 +153,14 @@ ModeEvaluation ModePipeline::finalize(std::size_t m, const ModeMapping& mapping,
   for (PeId pe : mapping.task_to_pe) me.pe_active[pe.index()] = true;
   for (const ScheduledComm& c : schedule.comms)
     if (!c.local && c.cl.valid()) me.cl_active[c.cl.index()] = true;
-  if (reference_power(options_.power)) {
-    // Pinned reference path: the original inline accumulation, kept
-    // verbatim so `--power=paper` (and no flag at all) stays bit-identical
-    // to the pre-registry pipeline.
-    for (std::size_t p = 0; p < arch.pe_count(); ++p)
-      if (me.pe_active[p])
-        me.static_power +=
-            arch.pe(PeId{static_cast<PeId::value_type>(p)}).static_power;
-    for (std::size_t c = 0; c < arch.cl_count(); ++c)
-      if (me.cl_active[c])
-        me.static_power +=
-            arch.cl(ClId{static_cast<ClId::value_type>(c)}).static_power;
-  } else {
-    const ModePowerContext ctx{arch,         mode.period,  me.dyn_power,
-                               me.pe_active, me.cl_active, scaled.pe_busy};
-    const ModePowerResult pr = options_.power->mode_power(ctx);
-    me.static_power = pr.static_power;
-    me.baseline_static_power = pr.baseline_static_power;
-    me.idle_energy_saved = pr.idle_energy_saved;
-    me.wake_energy = pr.wake_energy;
-    me.temperature = pr.temperature;
-  }
+  const ModePowerContext ctx{arch,         mode.period,  me.dyn_power,
+                             me.pe_active, me.cl_active, scaled.pe_busy};
+  const ModePowerResult pr = options_.power->mode_power(ctx);
+  me.static_power = pr.static_power;
+  me.baseline_static_power = pr.baseline_static_power;
+  me.idle_energy_saved = pr.idle_energy_saved;
+  me.wake_energy = pr.wake_energy;
+  me.temperature = pr.temperature;
 
   if (options_.keep_schedules) me.schedule = std::move(schedule);
   return me;

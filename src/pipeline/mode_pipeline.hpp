@@ -52,10 +52,8 @@ struct PipelineOptions {
   /// never observable in results.
   PipelineProfiler* profiler = nullptr;
   /// Power-model backend (stages 4–5; see power/power_model.hpp). Null
-  /// selects the pinned `paper` reference model — bit-identical to the
-  /// pre-registry behaviour and absent from the fingerprint, exactly like
-  /// an explicit reference model. Non-reference models fold their
-  /// fingerprint into the evaluation fingerprint.
+  /// means `paper`: the constructor resolves it, so options() never
+  /// returns null. Folded into the evaluation fingerprint.
   const PowerModel* power = nullptr;
 };
 
@@ -101,7 +99,7 @@ public:
                                    const std::vector<CoreSet>& hw_cores) const;
 
   /// FNV-1a over everything that shapes a ModeEvaluation (scheduler
-  /// backend + DVS backend + DVS knobs + non-reference power backend).
+  /// backend + DVS backend + DVS knobs + power backend).
   [[nodiscard]] std::uint64_t evaluation_fingerprint() const {
     return evaluation_fingerprint_;
   }

@@ -51,13 +51,6 @@ const PowerModel* resolve_power_backend(const std::string& name) {
       power_backends().front().name + "'");
 }
 
-const char* power_backend_name(const PowerModel* model) {
-  if (model == nullptr) return power_backends().front().name;
-  for (const PowerBackendInfo& info : power_backends())
-    if (model == info.model) return info.name;
-  return model->name();
-}
-
 std::string power_backend_list() {
   std::string out;
   for (const PowerBackendInfo& info : power_backends()) {

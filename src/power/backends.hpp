@@ -2,9 +2,10 @@
 // pipeline/backends: stable names map to shared immutable model
 // instances (default knobs), selectable with --power=; resolution
 // failures throw std::invalid_argument listing the registered names.
-// The first entry is the pinned default (`paper`). Custom knob values
-// bypass the registry — construct the model class directly and pass the
-// pointer through the options structs.
+// The first entry is the default (`paper`), which a null PowerModel* in
+// any options struct also selects. Custom knob values bypass the
+// registry — construct the model class directly and pass the pointer
+// through the options structs.
 #pragma once
 
 #include <string>
@@ -28,10 +29,6 @@ struct PowerBackendInfo {
 /// std::invalid_argument listing the registered backends when `name` is
 /// unknown. The returned pointer is valid for the program's lifetime.
 [[nodiscard]] const PowerModel* resolve_power_backend(const std::string& name);
-
-/// Stable name of a backend (a null model resolves to the reference
-/// `paper` backend, matching the null-means-paper convention).
-[[nodiscard]] const char* power_backend_name(const PowerModel* model);
 
 /// Registered names as a comma-separated list, for help/error text.
 [[nodiscard]] std::string power_backend_list();

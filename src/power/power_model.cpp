@@ -1,5 +1,6 @@
 #include "power/power_model.hpp"
 
+#include "common/checksum.hpp"
 #include "pipeline/artifacts.hpp"
 
 namespace mmsyn {
@@ -7,8 +8,7 @@ namespace mmsyn {
 double baseline_static_power(const Architecture& arch,
                              const std::vector<bool>& pe_active,
                              const std::vector<bool>& cl_active) {
-  // PEs in ascending index order, then CLs — the exact accumulation order
-  // of the original finalize() loop (bit-identity contract).
+  // PEs in ascending index order, then CLs (bit-identity contract).
   double total = 0.0;
   for (std::size_t p = 0; p < arch.pe_count(); ++p)
     if (pe_active[p])
@@ -23,12 +23,17 @@ double mode_total_power(const ModeEvaluation& mode) {
   return mode.dyn_power + mode.static_power;
 }
 
+std::uint64_t PaperPowerModel::fingerprint() const {
+  // No knobs: the identity alone.
+  return Fnv1a64{}.add_bytes("paper", 5).digest();
+}
+
 ModePowerResult PaperPowerModel::mode_power(
     const ModePowerContext& context) const {
   ModePowerResult result;
   result.static_power = baseline_static_power(context.arch, context.pe_active,
                                               context.cl_active);
-  // Breakdown fields stay 0: the reference model has nothing to report
+  // Breakdown fields stay 0: the paper's model has nothing to report
   // beyond Eq. 1, and all-zero breakdowns keep reports byte-identical.
   return result;
 }

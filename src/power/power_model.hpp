@@ -12,16 +12,16 @@
 //  - mode_power is a *pure function* of its context and the model's own
 //    knobs — no globals, no RNG, no time — so the auditor's stage replay
 //    and the mode cache reproduce it bit-for-bit.
-//  - The reference model (`paper`, is_reference_model() == true, and a
-//    null PowerModel* everywhere) is pinned bit-identical to the
-//    pre-registry behaviour: the pipeline keeps its original inline
-//    static-power loop on that path and the model contributes *nothing*
-//    to any fingerprint, so pre-existing cache keys, checkpoints and GA
-//    state fingerprints carry over unchanged.
-//  - Non-reference models fold fingerprint() into the evaluation
-//    fingerprint (never the schedule fingerprint — power is a stage-3..5
-//    concern), so a thermal result can never be served from a paper cache
-//    entry while schedule artifacts stay shareable across power backends.
+//  - Every backend, `paper` included, runs through mode_power, and its
+//    fingerprint() is folded into the evaluation fingerprint (never the
+//    schedule fingerprint — power is a stage-3..5 concern), so e.g. a
+//    thermal result can never be served from a paper cache entry while
+//    schedule artifacts stay shareable across power backends.
+//  - A null PowerModel* in any options struct means `paper`: the
+//    pipeline resolves it once, so null and an explicit `paper` price and
+//    hash identically.
+//  - `paper` leaves every breakdown field 0, so its reports carry no
+//    power-model detail block.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +49,8 @@ struct ModePowerContext {
 
 /// A backend's verdict for one mode. `static_power` is the effective
 /// value entering Eq. 1; the remaining fields are the reporting
-/// breakdown. The reference model leaves every breakdown field 0 — the
-/// report renders the power-model detail block only when one is set,
-/// which is what keeps paper reports byte-identical to the seed.
+/// breakdown. `paper` leaves every breakdown field 0 — the report renders
+/// the power-model detail block only when one is set.
 struct ModePowerResult {
   /// Effective static power entering Eq. 1, watts.
   double static_power = 0.0;
@@ -74,14 +73,8 @@ public:
   /// Stable registry name (see power/backends.hpp).
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// True only for the pinned `paper` model: the pipeline keeps its
-  /// original inline path and no fingerprint anywhere changes. A null
-  /// PowerModel* means the same thing.
-  [[nodiscard]] virtual bool is_reference_model() const { return false; }
-
   /// FNV-1a over the backend identity and every knob that can change a
-  /// result; folded into the evaluation fingerprint for non-reference
-  /// models.
+  /// result; folded into the evaluation fingerprint.
   [[nodiscard]] virtual std::uint64_t fingerprint() const = 0;
 
   /// Declare that mode_power reads ModePowerContext::pe_busy, so the
@@ -110,10 +103,10 @@ public:
   }
 };
 
-/// Σ static power of the active components, accumulated in the exact
-/// order of the original pipeline loop (PEs in ascending index order,
-/// then CLs) so the floating-point sum is bitwise-identical to the
-/// pre-registry behaviour. Shared by every backend as the baseline.
+/// Σ static power of the active components, PEs in ascending index order
+/// then CLs (the summation order is part of the bit-identity contract:
+/// it fixes the floating-point result). Shared by every backend as the
+/// baseline.
 [[nodiscard]] double baseline_static_power(const Architecture& arch,
                                            const std::vector<bool>& pe_active,
                                            const std::vector<bool>& cl_active);
@@ -126,17 +119,12 @@ struct ModeEvaluation;
 /// simulator, so both always price a mode through the same power model.
 [[nodiscard]] double mode_total_power(const ModeEvaluation& mode);
 
-/// The pinned reference backend: Eq. 1 exactly as the paper states it.
-/// The pipeline special-cases this model (and a null pointer) onto its
-/// original inline code path; mode_power exists so tests can pin the
-/// two paths equal.
+/// The default backend: Eq. 1 exactly as the paper states it — the
+/// static power of the components left on by the shut-down analysis.
 class PaperPowerModel final : public PowerModel {
 public:
   [[nodiscard]] const char* name() const override { return "paper"; }
-  [[nodiscard]] bool is_reference_model() const override { return true; }
-  /// Never folded into any fingerprint (see is_reference_model), but
-  /// defined as 0 so accidental use is conspicuous and stable.
-  [[nodiscard]] std::uint64_t fingerprint() const override { return 0; }
+  [[nodiscard]] std::uint64_t fingerprint() const override;
   [[nodiscard]] ModePowerResult mode_power(
       const ModePowerContext& context) const override;
 };

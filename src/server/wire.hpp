@@ -10,7 +10,8 @@
 //   ...  payload (message-specific, see the encode_* / decode_* pairs)
 //   u32  CRC-32 of the payload
 //
-// All integers little-endian; strings are u32-length-prefixed byte runs.
+// All integers little-endian; strings are u32-length-prefixed byte runs
+// (common/byte_codec.hpp).
 // The trailing CRC plus the explicit size reject truncation and bit rot
 // the same way the checkpoint container does; the version gates format
 // evolution — a server receiving a newer (or corrupt) frame answers with
@@ -28,6 +29,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "common/byte_codec.hpp"
 
 namespace mmsyn {
 
@@ -173,6 +176,28 @@ struct WaitOutcome {
 };
 
 // ---- payload serialization ------------------------------------------------
+
+/// JobOptions in the one layout shared by the kSubmit payload and the
+/// journal's kAccept record (server/journal.cpp), so a new field is
+/// added in exactly one place.
+void encode_job_options(ByteWriter& w, const JobOptions& options);
+
+template <class Error>
+[[nodiscard]] JobOptions decode_job_options(ByteReader<Error>& r) {
+  JobOptions o;
+  o.seed = r.u64();
+  o.population = r.i32();
+  o.generations = r.i32();
+  o.threads = r.i32();
+  o.dvs_backend = r.str();
+  o.scheduler_backend = r.str();
+  o.power_backend = r.str();
+  o.consider_probabilities = r.boolean();
+  o.time_budget = r.f64();
+  o.report_gantt = r.boolean();
+  o.report_voltages = r.boolean();
+  return o;
+}
 
 [[nodiscard]] std::string encode_submit(const SubmitRequest& request);
 [[nodiscard]] SubmitRequest decode_submit(std::string_view payload);

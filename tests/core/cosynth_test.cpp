@@ -23,7 +23,8 @@ SynthesisOptions small(std::uint64_t seed) {
 // Golden trajectory: every other identity test compares two runs of the
 // same build, so a refactor that shifts the GA's trajectory would pass
 // them all. The recorded integers move with any change to the RNG draws,
-// the evaluation order or the cache accounting.
+// the evaluation order or the cache accounting; the recorded power (exact
+// bits) moves with any change to how Eq. 1 is summed.
 struct GoldenRun {
   int islands;
   int generations;
@@ -32,6 +33,7 @@ struct GoldenRun {
   long cache_lookups;
   long mode_cache_hits;
   long mode_cache_lookups;
+  double avg_power_true;
 };
 
 TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
@@ -44,9 +46,10 @@ TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
       {2, 1, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 1, 2, 0, 1, 0},
       {2, 2, 1, 2, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0},
   };
-  for (const GoldenRun& golden : {GoldenRun{1, 30, 480, 163, 643, 1520, 2400},
-                                  GoldenRun{3, 30, 1029, 394, 1423, 2948,
-                                            5145}}) {
+  for (const GoldenRun& golden :
+       {GoldenRun{1, 30, 480, 163, 643, 1520, 2400, 0x1.e0f14ff5cf35ep-7},
+        GoldenRun{3, 30, 1029, 394, 1423, 2948, 5145,
+                  0x1.e0f14ff5cf35ep-7}}) {
     SCOPED_TRACE("islands " + std::to_string(golden.islands));
     SynthesisOptions options;
     options.seed = 21;
@@ -61,6 +64,7 @@ TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
     EXPECT_EQ(result.cache_lookups, golden.cache_lookups);
     EXPECT_EQ(result.mode_cache_hits, golden.mode_cache_hits);
     EXPECT_EQ(result.mode_cache_lookups, golden.mode_cache_lookups);
+    EXPECT_EQ(result.evaluation.avg_power_true, golden.avg_power_true);
     ASSERT_EQ(result.mapping.modes.size(), golden_mapping.size());
     for (std::size_t m = 0; m < golden_mapping.size(); ++m) {
       std::vector<int> task_to_pe;

@@ -237,10 +237,28 @@ TEST(Checkpoint, RejectsBitFlip) {
   std::remove(path.c_str());
 }
 
+// The payload of sample_snapshot()'s checkpoint, recorded from an earlier
+// build as its size and CRC-32 (the payload follows the magic, the u32
+// version and the u64 size, and excludes the version word, so a version
+// bump alone does not move it).
+TEST(Checkpoint, PayloadMatchesRecordedSizeAndCrc) {
+  const std::string path = scratch_path("pinned");
+  save_one_island(path, sample_snapshot());
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_GT(bytes.size(), 24u);
+  EXPECT_EQ(get_le(bytes, 12, 8), 680u);
+  EXPECT_EQ(get_le(bytes, bytes.size() - 4, 4), 3138148573u);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, RejectsOtherFormatVersions) {
-  // The u32 version follows the 8-byte magic. A v6 file's fingerprints
-  // still hash the GA's random-engine choice, and a newer one is unknown:
-  // both must be refused with the version named.
+  // The u32 version follows the 8-byte magic. A v7 file's fingerprints
+  // predate the power backend joining every evaluation fingerprint, and a
+  // newer one is unknown: both must be refused with the version named.
   const std::string path = scratch_path("version");
   save_one_island(path, sample_snapshot());
   std::string bytes;
@@ -250,8 +268,8 @@ TEST(Checkpoint, RejectsOtherFormatVersions) {
   }
   ASSERT_GT(bytes.size(), 12u);
   const std::uint64_t current = get_le(bytes, 8, 4);
-  EXPECT_EQ(current, 7u);
-  for (const std::uint64_t version : {std::uint64_t{6}, current + 1}) {
+  EXPECT_EQ(current, 8u);
+  for (const std::uint64_t version : {std::uint64_t{7}, current + 1}) {
     SCOPED_TRACE("version " + std::to_string(version));
     put_le(bytes, 8, version, 4);
     {

@@ -23,7 +23,6 @@ namespace {
 TEST(PowerBackends, PaperIsTheFirstRegisteredBackend) {
   ASSERT_FALSE(power_backends().empty());
   EXPECT_STREQ(power_backends().front().name, "paper");
-  EXPECT_TRUE(power_backends().front().model->is_reference_model());
 }
 
 TEST(PowerBackends, EveryRegisteredNameResolvesToItsInstance) {
@@ -31,12 +30,7 @@ TEST(PowerBackends, EveryRegisteredNameResolvesToItsInstance) {
     const PowerModel* model = resolve_power_backend(info.name);
     EXPECT_EQ(model, info.model) << info.name;
     EXPECT_STREQ(model->name(), info.name);
-    EXPECT_STREQ(power_backend_name(model), info.name);
   }
-}
-
-TEST(PowerBackends, NullModelMeansPaper) {
-  EXPECT_STREQ(power_backend_name(nullptr), "paper");
 }
 
 TEST(PowerBackends, UnknownNameThrowsWithActionableMessage) {
@@ -49,13 +43,6 @@ TEST(PowerBackends, UnknownNameThrowsWithActionableMessage) {
     EXPECT_NE(what.find("paper"), std::string::npos);
     EXPECT_NE(what.find("--power"), std::string::npos);
   }
-}
-
-TEST(PowerBackends, OnlyPaperIsAReferenceModel) {
-  for (const PowerBackendInfo& info : power_backends())
-    EXPECT_EQ(info.model->is_reference_model(),
-              std::string(info.name) == "paper")
-        << info.name;
 }
 
 TEST(PowerBackends, NonReferenceFingerprintsAreDistinctAndNonZero) {
@@ -99,7 +86,7 @@ TEST(PaperModel, MatchesBaselineStaticPowerExactly) {
   const ModePowerResult r = PaperPowerModel{}.mode_power(ctx);
   EXPECT_DOUBLE_EQ(r.static_power,
                    baseline_static_power(arch, pe_active, cl_active));
-  // Reference breakdown stays all-zero (report byte-identity contract).
+  // Paper's breakdown stays all-zero (report byte-identity contract).
   EXPECT_EQ(r.baseline_static_power, 0.0);
   EXPECT_EQ(r.idle_energy_saved, 0.0);
   EXPECT_EQ(r.wake_energy, 0.0);
@@ -275,8 +262,8 @@ TEST(PowerEvaluator, NullAndPaperShareTheReferenceFingerprint) {
   paper_opts.power = resolve_power_backend("paper");
   const Evaluator null_eval(system, null_opts);
   const Evaluator paper_eval(system, paper_opts);
-  // The reference model contributes nothing: pre-registry cache keys,
-  // checkpoints and GA state fingerprints carry over unchanged.
+  // The pipeline resolves a null model to `paper`, so both key the same
+  // cache entries and the same checkpoints.
   EXPECT_EQ(null_eval.options_fingerprint(), paper_eval.options_fingerprint());
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace mmsyn {
 namespace {
@@ -39,6 +40,17 @@ JobOptions sample_options() {
   o.generations = 40;
   o.time_budget = 2.5;
   return o;
+}
+
+/// Lower-case hex of `bytes`, for pinning encodings.
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
 }
 
 TEST(Journal, FreshFileReplaysEmpty) {
@@ -88,6 +100,26 @@ TEST(Journal, AppendAndReplayFullLifecycle) {
   EXPECT_FALSE(two.completed);
   EXPECT_TRUE(two.quarantined);
   EXPECT_EQ(two.quarantine_error, "boom");
+}
+
+// Journal v2 bytes of a fresh file holding one kAccept record, recorded
+// from an earlier build: a state dir written by one build must replay in
+// the next.
+TEST(Journal, AcceptRecordMatchesRecordedBytes) {
+  const std::string path = scratch_path("pinned");
+  JobOptions options = sample_options();
+  options.dvs_backend = "pv-dvs";
+  options.power_backend = "dpm-idle";
+  {
+    JobJournal journal;
+    (void)journal.open(path);
+    journal.append_accept(7, 0x0123456789abcdefull, options, "system a\n");
+  }
+  EXPECT_EQ(to_hex(read_file(path)),
+            "4d4d53594e57414c0200000057000000010700000000000000efcdab89674523"
+            "0105000000000000001000000028000000010000000600000070762d64767300"
+            "0000000800000064706d2d69646c650100000000000004400100090000007379"
+            "7374656d20610aa2c344c7");
 }
 
 TEST(Journal, CrashAttemptsCountDanglingAttempts) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <string_view>
 
 namespace mmsyn {
 namespace {
@@ -43,6 +44,17 @@ JobOptions sample_options() {
   return o;
 }
 
+/// Lower-case hex of `bytes`, for pinning encodings.
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
 TEST(Wire, SubmitRoundTrip) {
   SubmitRequest request;
   request.options = sample_options();
@@ -50,6 +62,19 @@ TEST(Wire, SubmitRoundTrip) {
   const SubmitRequest back = decode_submit(encode_submit(request));
   EXPECT_EQ(back.options, request.options);
   EXPECT_EQ(back.system_text, request.system_text);
+}
+
+// Wire v2 bytes of one kSubmit payload, recorded from an earlier build:
+// a client and a server of different builds must agree on every byte.
+TEST(Wire, SubmitEncodingMatchesRecordedBytes) {
+  SubmitRequest request;
+  request.options = sample_options();
+  request.options.power_backend = "thermal";
+  request.system_text = "system x\n";
+  EXPECT_EQ(to_hex(encode_submit(request)),
+            "2a0000000000000030000000fa000000040000000600000070762d6476730c00"
+            "0000626f74746f6d2d6c6576656c07000000746865726d616c00000000000000"
+            "f83f00010900000073797374656d20780a");
 }
 
 TEST(Wire, ReplyRoundTrips) {

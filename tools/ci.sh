@@ -59,10 +59,13 @@ if ! grep -q "bogus" /tmp/mmsyn-ci-power-err.txt; then
   echo "ci: FAIL (unknown-power error does not name the offending value)"
   exit 1
 fi
-# Numeric flags fail fast the same way: an empty population and a
-# non-numeric thread count must exit 1 (not die by a signal) with a
-# message naming the flag.
-for bad in "--population 0" "--threads abc"; do
+# Numeric flags fail fast the same way: an empty population, a
+# non-numeric thread count, a suite index outside 1..12 and negative
+# counts (which would wrap to 2^64-1) must exit 1 (not die by a signal,
+# not run) with a message naming the flag.
+for bad in "--population 0" "--threads abc" "--export-mul 13" \
+           "--export-mul -1" "--exhaustive-budget -1" \
+           "--mode-cache-capacity -1"; do
   flag=${bad%% *}
   code=0
   $SF --input "$IN" $ARGS $bad > /dev/null 2> /tmp/mmsyn-ci-flag-err.txt \
