@@ -17,6 +17,7 @@
 //   1  anything else (parse error, connection failure, bad flags)
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/flags.hpp"
@@ -103,6 +104,17 @@ int main(int argc, char** argv) {
   flags.define_bool("report-voltages", false,
                     "include voltage schedules in the report");
   if (!flags.parse(argc, argv)) return 1;
+
+  // JobOptions carries these as int32; refuse what a cast would truncate.
+  for (const char* name : {"population", "generations", "threads"}) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < std::numeric_limits<std::int32_t>::min() ||
+        value > std::numeric_limits<std::int32_t>::max()) {
+      std::fprintf(stderr, "--%s is out of the int32 range (got %lld)\n",
+                   name, static_cast<long long>(value));
+      return 1;
+    }
+  }
 
   if (flags.get_string("socket").empty()) {
     std::fprintf(stderr, "--socket is required\n");

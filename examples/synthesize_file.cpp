@@ -14,6 +14,7 @@
 // bit-identically to an uninterrupted one with the same flags. An early
 // stop still reports the best implementation found so far (exit code 3).
 #include <cstdio>
+#include <limits>
 
 #include "audit/auditor.hpp"
 #include "common/failpoint.hpp"
@@ -121,8 +122,9 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   // Range checks the flag layer cannot make: a suite index outside
-  // 1..mul_count() would throw from make_mul, and a negative count would
-  // wrap through the unsigned casts below.
+  // 1..mul_count() would throw from make_mul, a negative count would
+  // wrap through the unsigned casts below, and a count outside the int
+  // range would be truncated by the int casts.
   const std::int64_t mul = flags.get_int("export-mul");
   if (mul != 0 && (mul < 1 || mul > mul_count())) {
     std::fprintf(stderr, "--export-mul must be 1..%d (got %lld)\n",
@@ -133,6 +135,18 @@ int main(int argc, char** argv) {
     if (flags.get_int(name) < 0) {
       std::fprintf(stderr, "--%s must be >= 0 (got %lld)\n", name,
                    static_cast<long long>(flags.get_int(name)));
+      return 1;
+    }
+  }
+  for (const char* name :
+       {"population", "generations", "threads", "islands",
+        "migration-interval", "migrants", "checkpoint-every",
+        "checkpoint-keep"}) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "--%s is out of the int range (got %lld)\n", name,
+                   static_cast<long long>(value));
       return 1;
     }
   }
@@ -162,7 +176,12 @@ int main(int argc, char** argv) {
     const System system = flags.get_bool("export-smartphone")
                               ? make_smart_phone()
                               : make_mul(static_cast<int>(mul));
-    save_system(path, system);
+    try {
+      save_system(path, system);
+    } catch (const ParseError& e) {
+      std::fprintf(stderr, "--output: %s\n", e.what());
+      return 1;
+    }
     std::printf("wrote %s (%s)\n", path.c_str(), system.name.c_str());
     return 0;
   }
@@ -296,17 +315,23 @@ int main(int argc, char** argv) {
                        : "cancelled");
   }
 
-  if (!flags.get_string("save-mapping").empty()) {
-    save_mapping(flags.get_string("save-mapping"), system, result.mapping);
-    std::printf("mapping written to %s\n",
-                flags.get_string("save-mapping").c_str());
-  }
-
   ReportOptions report;
   report.include_gantt = flags.get_bool("gantt");
   report.include_voltage_schedules = flags.get_bool("report-voltages");
   report.include_timing = flags.get_bool("report-timing");
   std::printf("%s", implementation_report(system, result, report).c_str());
+
+  // Saved after the report is out, so an unwritable path loses no run.
+  if (!flags.get_string("save-mapping").empty()) {
+    try {
+      save_mapping(flags.get_string("save-mapping"), system, result.mapping);
+    } catch (const ParseError& e) {
+      std::fprintf(stderr, "--save-mapping: %s\n", e.what());
+      return 1;
+    }
+    std::printf("mapping written to %s\n",
+                flags.get_string("save-mapping").c_str());
+  }
 
   if (flags.get_bool("profile")) {
     // Cache counters exist only for the GA path; the evaluate-mapping and

@@ -47,6 +47,12 @@ constexpr std::uint32_t kVersion = 8;
 
 using Reader = ByteReader<CheckpointError>;
 
+// The memo's ModeEvaluation values go through put/get and their fields()
+// list. The codecs below stay hand-written because their layouts are not
+// plain field lists: a snapshot stores the genome length once and the
+// best individual only when there is one, and a memo key bounds each
+// element count by that element's minimum size.
+
 void write_individual(ByteWriter& w, const SnapshotIndividual& ind,
                       std::size_t genome_length) {
   if (ind.genome.size() != genome_length)
@@ -109,49 +115,6 @@ ModeEvalKey read_mode_key(Reader& r) {
   return key;
 }
 
-void write_mode_evaluation(ByteWriter& w, const ModeEvaluation& m) {
-  // The memo never holds schedules (the GA hot loop drops them); a
-  // schedule here means the snapshot was built from the wrong evaluator
-  // configuration, which resume could not reproduce.
-  if (m.schedule.has_value())
-    throw CheckpointError("mode-cache entry carries a schedule");
-  w.f64(m.dyn_energy);
-  w.f64(m.dyn_power);
-  w.f64(m.static_power);
-  w.f64(m.timing_violation);
-  w.f64(m.makespan);
-  w.u64(m.pe_active.size());
-  for (bool b : m.pe_active) w.boolean(b);
-  w.u64(m.cl_active.size());
-  for (bool b : m.cl_active) w.boolean(b);
-  w.boolean(m.routable);
-  w.f64(m.baseline_static_power);
-  w.f64(m.idle_energy_saved);
-  w.f64(m.wake_energy);
-  w.f64(m.temperature);
-}
-
-ModeEvaluation read_mode_evaluation(Reader& r) {
-  ModeEvaluation m;
-  m.dyn_energy = r.f64();
-  m.dyn_power = r.f64();
-  m.static_power = r.f64();
-  m.timing_violation = r.f64();
-  m.makespan = r.f64();
-  m.pe_active.resize(r.bounded(r.u64(), 1));
-  for (std::size_t i = 0; i < m.pe_active.size(); ++i)
-    m.pe_active[i] = r.boolean();
-  m.cl_active.resize(r.bounded(r.u64(), 1));
-  for (std::size_t i = 0; i < m.cl_active.size(); ++i)
-    m.cl_active[i] = r.boolean();
-  m.routable = r.boolean();
-  m.baseline_static_power = r.f64();
-  m.idle_energy_saved = r.f64();
-  m.wake_energy = r.f64();
-  m.temperature = r.f64();
-  return m;
-}
-
 std::string serialize_ga(const GaSnapshot& snapshot) {
   // Genomes are fixed-length per run; store the length once.
   const std::size_t genome_length =
@@ -185,8 +148,13 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   w.i64(snapshot.mode_cache_lookups);
   w.u64(snapshot.mode_cache.size());
   for (const auto& [key, value] : snapshot.mode_cache) {
+    // The memo never holds schedules (the GA hot loop drops them); a
+    // schedule here means the snapshot was built from the wrong evaluator
+    // configuration, which resume could not reproduce.
+    if (value.schedule.has_value())
+      throw CheckpointError("mode-cache entry carries a schedule");
     write_mode_key(w, key);
-    write_mode_evaluation(w, value);
+    put(w, value);
   }
   return w.take();
 }
@@ -197,10 +165,13 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   s.fingerprint = r.u64();
   // Smallest serialized sizes bound the counts: a gene is a u16; an
   // individual adds three f64 and four flags; a memo entry is at least a
-  // key (u32 + three u64) and an evaluation (nine f64, two u64, a flag).
+  // key (u32 + three u64) and an evaluation with no PEs or CLs.
   const std::uint64_t genome_length = r.bounded(r.u64(), 2);
   const std::uint64_t individual_bytes = 2 * genome_length + 3 * 8 + 4;
-  constexpr std::uint64_t kModeEntryBytes = (4 + 3 * 8) + (9 * 8 + 2 * 8 + 1);
+  ByteWriter empty_evaluation;
+  put(empty_evaluation, ModeEvaluation{});
+  const std::uint64_t mode_entry_bytes =
+      (4 + 3 * 8) + empty_evaluation.take().size();
   s.next_generation = r.i32();
   s.stagnation = r.i32();
   s.converged = r.boolean();
@@ -224,11 +195,12 @@ GaSnapshot deserialize_ga(std::string_view payload) {
     s.cache.push_back(read_individual(r, genome_length));
   s.mode_cache_hits = r.i64();
   s.mode_cache_lookups = r.i64();
-  const std::uint64_t mode_cache_count = r.bounded(r.u64(), kModeEntryBytes);
+  const std::uint64_t mode_cache_count = r.bounded(r.u64(), mode_entry_bytes);
   s.mode_cache.reserve(mode_cache_count);
   for (std::uint64_t i = 0; i < mode_cache_count; ++i) {
     ModeEvalKey key = read_mode_key(r);
-    ModeEvaluation value = read_mode_evaluation(r);
+    ModeEvaluation value;
+    get(r, value);
     s.mode_cache.emplace_back(std::move(key), std::move(value));
   }
   r.expect_end();

@@ -1,37 +1,31 @@
 #include "energy/artifact_hash.hpp"
 
+#include <tuple>
+
 #include "common/checksum.hpp"
 
 namespace mmsyn {
 
+namespace {
+
+void add_field(Fnv1a64& h, double v) { h.add(v); }
+void add_field(Fnv1a64& h, bool v) { h.add(v); }
+void add_field(Fnv1a64& h, const std::vector<bool>& flags) {
+  h.add(static_cast<std::uint64_t>(flags.size()));
+  for (bool b : flags) h.add(b);
+}
+
+}  // namespace
+
 std::uint64_t mode_evaluation_digest(const ModeEvaluation& m) {
   Fnv1a64 h;
-  h.add(m.dyn_energy);
-  h.add(m.dyn_power);
-  h.add(m.static_power);
-  h.add(m.timing_violation);
-  h.add(m.makespan);
-  h.add(static_cast<std::uint64_t>(m.pe_active.size()));
-  for (bool b : m.pe_active) h.add(b);
-  h.add(static_cast<std::uint64_t>(m.cl_active.size()));
-  for (bool b : m.cl_active) h.add(b);
-  h.add(m.routable);
-  h.add(m.baseline_static_power);
-  h.add(m.idle_energy_saved);
-  h.add(m.wake_energy);
-  h.add(m.temperature);
+  std::apply([&h](const auto&... f) { (add_field(h, f), ...); },
+             ModeEvaluation::fields(m));
   return h.digest();
 }
 
 bool equal_mode_evaluations(const ModeEvaluation& a, const ModeEvaluation& b) {
-  return a.dyn_energy == b.dyn_energy && a.dyn_power == b.dyn_power &&
-         a.static_power == b.static_power &&
-         a.timing_violation == b.timing_violation &&
-         a.makespan == b.makespan && a.pe_active == b.pe_active &&
-         a.cl_active == b.cl_active && a.routable == b.routable &&
-         a.baseline_static_power == b.baseline_static_power &&
-         a.idle_energy_saved == b.idle_energy_saved &&
-         a.wake_energy == b.wake_energy && a.temperature == b.temperature;
+  return ModeEvaluation::fields(a) == ModeEvaluation::fields(b);
 }
 
 bool equal_mode_schedules(const ModeSchedule& a, const ModeSchedule& b) {

@@ -2,11 +2,11 @@
 // pipeline artifacts.
 //
 // The mode cache's self-healing digest and the auditor's stage-replay /
-// cache-invariant comparisons share this one field enumeration, so a
-// field dropped from one cannot silently weaken the other: the digest
-// covers exactly the fields equal_mode_evaluations compares (the
-// optional retained schedule excluded — memoised entries never carry
-// one, and the auditor compares schedules with equal_mode_schedules).
+// cache-invariant comparisons both walk ModeEvaluation::fields, the list
+// the checkpoint codec writes too, so the digest covers exactly the
+// fields equal_mode_evaluations compares (the optional retained schedule
+// excluded — memoised entries never carry one, and the auditor compares
+// schedules with equal_mode_schedules).
 //
 // Stability: the digest is an in-memory integrity check, recomputed on
 // every cache insert (checkpoints store values, not digests), so the

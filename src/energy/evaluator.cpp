@@ -22,9 +22,9 @@ namespace {
 // is recomputed on the next miss, also self-healing.
 failpoint::Site fp_cache_insert{"cache.insert"};
 
-// Self-healing digests live in energy/artifact_hash.hpp — one shared
-// field enumeration with the auditor's equality checks, so a new
-// ModeEvaluation field can't silently drop out of either.
+// Self-healing digests live in energy/artifact_hash.hpp; they and the
+// auditor's equality checks walk ModeEvaluation::fields, so a new field
+// can't silently drop out of either.
 
 }  // namespace
 

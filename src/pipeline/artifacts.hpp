@@ -18,6 +18,7 @@
 #pragma once
 
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "dvs/dvs_graph.hpp"
@@ -86,6 +87,17 @@ struct ModeEvaluation {
 
   /// Schedule retained when PipelineOptions::keep_schedules.
   std::optional<ModeSchedule> schedule;
+
+  /// Every field above but the retained schedule, in checkpoint order.
+  /// The checkpoint codec, the mode cache's digest and the auditor's
+  /// equality (energy/artifact_hash.hpp) all walk this one list.
+  template <class Self>
+  static auto fields(Self& m) {
+    return std::tie(m.dyn_energy, m.dyn_power, m.static_power,
+                    m.timing_violation, m.makespan, m.pe_active, m.cl_active,
+                    m.routable, m.baseline_static_power, m.idle_energy_saved,
+                    m.wake_energy, m.temperature);
+  }
 };
 
 }  // namespace mmsyn

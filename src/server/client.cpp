@@ -53,7 +53,7 @@ int ServeClient::connect_fd() const {
 
 SubmitOutcome ServeClient::submit(const SubmitRequest& request) {
   FdGuard fd{connect_fd()};
-  send_frame(fd.fd, MessageType::kSubmit, encode_submit(request));
+  send_frame(fd.fd, MessageType::kSubmit, encode_payload(request));
   Frame frame;
   if (!recv_frame(fd.fd, frame)) {
     throw WireError("connection closed before submit reply");
@@ -61,9 +61,9 @@ SubmitOutcome ServeClient::submit(const SubmitRequest& request) {
   SubmitOutcome out;
   if (frame.type == MessageType::kSubmitOk) {
     out.accepted = true;
-    out.ok = decode_submit_ok(frame.payload);
+    out.ok = decode_payload<SubmitReply>(frame.payload);
   } else if (frame.type == MessageType::kReject) {
-    out.reject = decode_reject(frame.payload);
+    out.reject = decode_payload<RejectReply>(frame.payload);
   } else {
     throw WireError("unexpected submit reply type");
   }
@@ -73,7 +73,7 @@ SubmitOutcome ServeClient::submit(const SubmitRequest& request) {
 WaitOutcome ServeClient::wait(std::uint64_t job_id) {
   FdGuard fd{connect_fd()};
   WaitRequest request{job_id};
-  send_frame(fd.fd, MessageType::kWait, encode_wait(request));
+  send_frame(fd.fd, MessageType::kWait, encode_payload(request));
   Frame frame;
   if (!recv_frame(fd.fd, frame)) {
     throw WireError("connection closed before wait reply");
@@ -81,9 +81,9 @@ WaitOutcome ServeClient::wait(std::uint64_t job_id) {
   WaitOutcome out;
   if (frame.type == MessageType::kJobResult) {
     out.ok = true;
-    out.result = decode_job_result(frame.payload);
+    out.result = decode_payload<JobResultReply>(frame.payload);
   } else if (frame.type == MessageType::kReject) {
-    out.reject = decode_reject(frame.payload);
+    out.reject = decode_payload<RejectReply>(frame.payload);
   } else {
     throw WireError("unexpected wait reply type");
   }
@@ -100,7 +100,7 @@ StatsReply ServeClient::stats() {
   if (frame.type != MessageType::kStatsReply) {
     throw WireError("unexpected stats reply type");
   }
-  return decode_stats(frame.payload);
+  return decode_payload<StatsReply>(frame.payload);
 }
 
 }  // namespace mmsyn

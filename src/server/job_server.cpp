@@ -78,6 +78,17 @@ void JobServer::start() {
   // take the server down a third time, in which case they are
   // quarantined here and now, before any worker can touch them.
   for (auto& [id, jj] : recovery.jobs) {
+    if (!jj.completed && !jj.quarantined &&
+        jj.crash_attempts >= options_.max_crash_attempts) {
+      jj.quarantined = true;
+      jj.quarantine_error = "quarantined at recovery: " +
+                            std::to_string(jj.crash_attempts) +
+                            " attempts ended in a crash";
+      journal_durably("journal quarantine", [&] {
+        journal_.append_quarantine(id, jj.quarantine_error);
+      });
+      log_line("job " + std::to_string(id) + ": " + jj.quarantine_error);
+    }
     Job job;
     job.id = id;
     job.fingerprint = jj.fingerprint;
@@ -98,18 +109,6 @@ void JobServer::start() {
       job.result.outcome = JobOutcome::kQuarantined;
       job.result.report = jj.quarantine_error;
       stats_.quarantined += 1;
-    } else if (job.crash_attempts >= options_.max_crash_attempts) {
-      const std::string error =
-          "quarantined at recovery: " + std::to_string(job.crash_attempts) +
-          " attempts ended in a crash";
-      journal_durably("journal quarantine",
-                      [&] { journal_.append_quarantine(id, error); });
-      job.state = JobState::kQuarantined;
-      job.result.job_id = id;
-      job.result.outcome = JobOutcome::kQuarantined;
-      job.result.report = error;
-      stats_.quarantined += 1;
-      log_line("job " + std::to_string(id) + ": " + error);
     } else {
       job.state = JobState::kQueued;
       queue_.push_back(id);
@@ -123,26 +122,10 @@ void JobServer::start() {
     jobs_.emplace(id, std::move(job));
   }
 
-  // Compaction bounds replay time for the next restart; recovery already
-  // has everything in memory, so the rewrite reflects the replayed state
-  // plus any quarantine decisions just journaled (kAttempt runs survive
-  // via the compactor's crash-attempt re-emission).
-  JournalRecovery compact_state;
-  compact_state.next_job_id = next_job_id_;
-  for (const auto& [id, job] : jobs_) {
-    JournalJob jj;
-    jj.job_id = id;
-    jj.fingerprint = job.fingerprint;
-    jj.options = job.options;
-    jj.system_text = job.system_text;
-    jj.crash_attempts = job.crash_attempts;
-    jj.completed = job.state == JobState::kCompleted;
-    jj.quarantined = job.state == JobState::kQuarantined;
-    if (jj.completed) jj.result = job.result;
-    if (jj.quarantined) jj.quarantine_error = job.result.report;
-    compact_state.jobs.emplace(id, std::move(jj));
-  }
-  journal_.compact(compact_state);
+  // Compaction bounds replay time for the next restart. The replayed
+  // state already carries the quarantine decisions just journaled
+  // (kAttempt runs survive via the compactor's crash-attempt re-emission).
+  journal_.compact(recovery);
 
   started_ = true;
   draining_ = false;
@@ -638,32 +621,33 @@ void JobServer::serve_connection(int fd) {
     while (recv_frame(fd, frame)) {
       switch (frame.type) {
         case MessageType::kSubmit: {
-          const SubmitOutcome out = submit(decode_submit(frame.payload));
+          const SubmitOutcome out =
+              submit(decode_payload<SubmitRequest>(frame.payload));
           if (out.accepted) {
-            send_frame(fd, MessageType::kSubmitOk, encode_submit_ok(out.ok));
+            send_frame(fd, MessageType::kSubmitOk, encode_payload(out.ok));
           } else {
-            send_frame(fd, MessageType::kReject, encode_reject(out.reject));
+            send_frame(fd, MessageType::kReject, encode_payload(out.reject));
           }
           break;
         }
         case MessageType::kWait: {
-          const WaitOutcome out = wait(decode_wait(frame.payload).job_id);
+          const WaitOutcome out =
+              wait(decode_payload<WaitRequest>(frame.payload).job_id);
           if (out.ok) {
-            send_frame(fd, MessageType::kJobResult,
-                       encode_job_result(out.result));
+            send_frame(fd, MessageType::kJobResult, encode_payload(out.result));
           } else {
-            send_frame(fd, MessageType::kReject, encode_reject(out.reject));
+            send_frame(fd, MessageType::kReject, encode_payload(out.reject));
           }
           break;
         }
         case MessageType::kStats: {
-          send_frame(fd, MessageType::kStatsReply, encode_stats(stats()));
+          send_frame(fd, MessageType::kStatsReply, encode_payload(stats()));
           break;
         }
         default: {
           RejectReply reject{RejectCode::kBadRequest,
                              "unexpected message type"};
-          send_frame(fd, MessageType::kReject, encode_reject(reject));
+          send_frame(fd, MessageType::kReject, encode_payload(reject));
           break;
         }
       }

@@ -43,7 +43,7 @@ std::string encode_accept(std::uint64_t job_id, std::uint64_t fingerprint,
                           const std::string& system_text) {
   ByteWriter w = start_record(JournalRecordType::kAccept, job_id);
   w.u64(fingerprint);
-  encode_job_options(w, options);
+  put(w, options);
   w.str(system_text);
   return w.take();
 }
@@ -54,12 +54,12 @@ std::string encode_attempt(std::uint64_t job_id, int attempt) {
   return w.take();
 }
 
+/// The type byte, then the kJobResult wire payload (whose first field is
+/// the job id, so this record leads like the others).
 std::string encode_complete(const JobResultReply& result) {
-  ByteWriter w = start_record(JournalRecordType::kComplete, result.job_id);
-  w.u8(static_cast<std::uint8_t>(result.outcome));
-  w.boolean(result.feasible);
-  w.f64(result.avg_power_true);
-  w.str(result.report);
+  ByteWriter w;
+  put(w, JournalRecordType::kComplete);
+  put(w, result);
   return w.take();
 }
 
@@ -96,7 +96,7 @@ void apply_record(JournalRecovery& out, std::string_view payload) {
     JournalJob job;
     job.job_id = id;
     job.fingerprint = r.u64();
-    job.options = decode_job_options(r);
+    get(r, job.options);
     job.system_text = r.str();
     r.expect_end();
     if (id + 1 > out.next_job_id) out.next_job_id = id + 1;
@@ -115,13 +115,12 @@ void apply_record(JournalRecovery& out, std::string_view payload) {
       job.crash_attempts += 1;
       return;
     case JournalRecordType::kComplete: {
+      // The body after the type byte is a kJobResult payload; its first
+      // field is the id read above.
+      Reader body(payload.substr(1));
       JobResultReply result;
-      result.job_id = id;
-      result.outcome = static_cast<JobOutcome>(r.u8());
-      result.feasible = r.boolean();
-      result.avg_power_true = r.f64();
-      result.report = r.str();
-      r.expect_end();
+      get(body, result);
+      body.expect_end();
       job.completed = true;
       job.quarantined = false;
       job.result = std::move(result);

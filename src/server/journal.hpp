@@ -15,7 +15,8 @@
 //
 // On-disk format, written with the byte codec the checkpoint container
 // and the wire protocol share (common/byte_codec.hpp; kAccept stores
-// JobOptions in the kSubmit layout): header `MMSYNWAL` + u32 version,
+// JobOptions through its wire field list, and kComplete is the type byte
+// followed by the kJobResult payload): header `MMSYNWAL` + u32 version,
 // then append-only records of `u32 len | payload | u32 crc32(payload)`. Each
 // append is fsync'd (failpoint `server.journal.write`; result appends
 // additionally pass `job.result.write`). Recovery scans until the first

@@ -78,138 +78,6 @@ std::uint64_t job_fingerprint(std::string_view system_text,
   return h.digest();
 }
 
-void encode_job_options(ByteWriter& w, const JobOptions& options) {
-  w.u64(options.seed);
-  w.i32(options.population);
-  w.i32(options.generations);
-  w.i32(options.threads);
-  w.str(options.dvs_backend);
-  w.str(options.scheduler_backend);
-  w.str(options.power_backend);
-  w.boolean(options.consider_probabilities);
-  w.f64(options.time_budget);
-  w.boolean(options.report_gantt);
-  w.boolean(options.report_voltages);
-}
-
-std::string encode_submit(const SubmitRequest& request) {
-  ByteWriter w;
-  encode_job_options(w, request.options);
-  w.str(request.system_text);
-  return w.take();
-}
-
-SubmitRequest decode_submit(std::string_view payload) {
-  Reader r(payload);
-  SubmitRequest req;
-  req.options = decode_job_options(r);
-  req.system_text = r.str();
-  r.expect_end();
-  return req;
-}
-
-std::string encode_submit_ok(const SubmitReply& reply) {
-  ByteWriter w;
-  w.u64(reply.job_id);
-  w.boolean(reply.cached);
-  return w.take();
-}
-
-SubmitReply decode_submit_ok(std::string_view payload) {
-  Reader r(payload);
-  SubmitReply reply;
-  reply.job_id = r.u64();
-  reply.cached = r.boolean();
-  r.expect_end();
-  return reply;
-}
-
-std::string encode_reject(const RejectReply& reply) {
-  ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(reply.code));
-  w.str(reply.message);
-  return w.take();
-}
-
-RejectReply decode_reject(std::string_view payload) {
-  Reader r(payload);
-  RejectReply reply;
-  reply.code = static_cast<RejectCode>(r.u16());
-  reply.message = r.str();
-  r.expect_end();
-  return reply;
-}
-
-std::string encode_wait(const WaitRequest& request) {
-  ByteWriter w;
-  w.u64(request.job_id);
-  return w.take();
-}
-
-WaitRequest decode_wait(std::string_view payload) {
-  Reader r(payload);
-  WaitRequest req;
-  req.job_id = r.u64();
-  r.expect_end();
-  return req;
-}
-
-std::string encode_job_result(const JobResultReply& reply) {
-  ByteWriter w;
-  w.u64(reply.job_id);
-  w.u8(static_cast<std::uint8_t>(reply.outcome));
-  w.boolean(reply.feasible);
-  w.f64(reply.avg_power_true);
-  w.str(reply.report);
-  return w.take();
-}
-
-JobResultReply decode_job_result(std::string_view payload) {
-  Reader r(payload);
-  JobResultReply reply;
-  reply.job_id = r.u64();
-  reply.outcome = static_cast<JobOutcome>(r.u8());
-  reply.feasible = r.boolean();
-  reply.avg_power_true = r.f64();
-  reply.report = r.str();
-  r.expect_end();
-  return reply;
-}
-
-std::string encode_stats(const StatsReply& reply) {
-  ByteWriter w;
-  w.u64(reply.accepted);
-  w.u64(reply.completed);
-  w.u64(reply.quarantined);
-  w.u64(reply.cache_hits);
-  w.u64(reply.cache_lookups);
-  w.u64(reply.queue_full_rejections);
-  w.u64(reply.retries);
-  w.u64(reply.watchdog_cancels);
-  w.u64(reply.recovered_pending);
-  w.u64(reply.queued);
-  w.u64(reply.running);
-  return w.take();
-}
-
-StatsReply decode_stats(std::string_view payload) {
-  Reader r(payload);
-  StatsReply reply;
-  reply.accepted = r.u64();
-  reply.completed = r.u64();
-  reply.quarantined = r.u64();
-  reply.cache_hits = r.u64();
-  reply.cache_lookups = r.u64();
-  reply.queue_full_rejections = r.u64();
-  reply.retries = r.u64();
-  reply.watchdog_cancels = r.u64();
-  reply.recovered_pending = r.u64();
-  reply.queued = r.u64();
-  reply.running = r.u64();
-  r.expect_end();
-  return reply;
-}
-
 void send_frame(int fd, MessageType type, std::string_view payload) {
   if (payload.size() > kMaxPayload) throw WireError("payload too large");
   // One coalesced buffer per frame: header and trailer are small next to

@@ -7,7 +7,8 @@
 //   u16  protocol version (kWireVersion)
 //   u16  message type (MessageType)
 //   u32  payload size in bytes
-//   ...  payload (message-specific, see the encode_* / decode_* pairs)
+//   ...  payload (the message record's fields(), in order; see
+//        encode_payload / decode_payload)
 //   u32  CRC-32 of the payload
 //
 // All integers little-endian; strings are u32-length-prefixed byte runs
@@ -29,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "common/byte_codec.hpp"
 
@@ -105,20 +107,39 @@ struct JobOptions {
   bool report_gantt = true;
   bool report_voltages = false;
 
+  /// Wire layout, shared by the kSubmit payload and the journal's
+  /// kAccept record (server/journal.cpp).
+  template <class Self>
+  static auto fields(Self& o) {
+    return std::tie(o.seed, o.population, o.generations, o.threads,
+                    o.dvs_backend, o.scheduler_backend, o.power_backend,
+                    o.consider_probabilities, o.time_budget, o.report_gantt,
+                    o.report_voltages);
+  }
+
   friend bool operator==(const JobOptions&, const JobOptions&) = default;
 };
 
 /// Cache/identity key of a submission: FNV-1a over the system text and
-/// every option field (strings length-prefixed, doubles by bit pattern).
+/// every option field but `threads` (strings length-prefixed, doubles by
+/// bit pattern), listed by hand because of that one exclusion.
 /// Two submissions with equal fingerprints produce byte-identical
 /// reports, which is what lets the result cache serve repeats without
 /// re-synthesis.
 [[nodiscard]] std::uint64_t job_fingerprint(std::string_view system_text,
                                             const JobOptions& options);
 
+// Each message record lists its fields once, in payload order;
+// encode_payload / decode_payload below walk that list.
+
 struct SubmitRequest {
   JobOptions options;
   std::string system_text;
+
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.options, s.system_text);
+  }
 };
 
 struct SubmitReply {
@@ -126,15 +147,30 @@ struct SubmitReply {
   /// The result cache already held this fingerprint; the job is born
   /// completed and kWait returns immediately.
   bool cached = false;
+
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.job_id, s.cached);
+  }
 };
 
 struct RejectReply {
   RejectCode code = RejectCode::kBadRequest;
   std::string message;
+
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.code, s.message);
+  }
 };
 
 struct WaitRequest {
   std::uint64_t job_id = 0;
+
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.job_id);
+  }
 };
 
 struct JobResultReply {
@@ -144,6 +180,13 @@ struct JobResultReply {
   double avg_power_true = 0.0;
   /// The full implementation report (kQuarantined: the error message).
   std::string report;
+
+  /// Also the body of the journal's kComplete record.
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.job_id, s.outcome, s.feasible, s.avg_power_true,
+                    s.report);
+  }
 };
 
 struct StatsReply {
@@ -158,6 +201,14 @@ struct StatsReply {
   std::uint64_t recovered_pending = 0; ///< jobs re-enqueued at startup
   std::uint64_t queued = 0;            ///< current queue depth
   std::uint64_t running = 0;           ///< jobs in a worker right now
+
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.accepted, s.completed, s.quarantined, s.cache_hits,
+                    s.cache_lookups, s.queue_full_rejections, s.retries,
+                    s.watchdog_cancels, s.recovered_pending, s.queued,
+                    s.running);
+  }
 };
 
 /// In-process outcome of a submit (shared by the wire client and the
@@ -177,40 +228,24 @@ struct WaitOutcome {
 
 // ---- payload serialization ------------------------------------------------
 
-/// JobOptions in the one layout shared by the kSubmit payload and the
-/// journal's kAccept record (server/journal.cpp), so a new field is
-/// added in exactly one place.
-void encode_job_options(ByteWriter& w, const JobOptions& options);
-
-template <class Error>
-[[nodiscard]] JobOptions decode_job_options(ByteReader<Error>& r) {
-  JobOptions o;
-  o.seed = r.u64();
-  o.population = r.i32();
-  o.generations = r.i32();
-  o.threads = r.i32();
-  o.dvs_backend = r.str();
-  o.scheduler_backend = r.str();
-  o.power_backend = r.str();
-  o.consider_probabilities = r.boolean();
-  o.time_budget = r.f64();
-  o.report_gantt = r.boolean();
-  o.report_voltages = r.boolean();
-  return o;
+/// The payload of one message: its record's fields(), in order.
+template <class T>
+[[nodiscard]] std::string encode_payload(const T& message) {
+  ByteWriter w;
+  put(w, message);
+  return w.take();
 }
 
-[[nodiscard]] std::string encode_submit(const SubmitRequest& request);
-[[nodiscard]] SubmitRequest decode_submit(std::string_view payload);
-[[nodiscard]] std::string encode_submit_ok(const SubmitReply& reply);
-[[nodiscard]] SubmitReply decode_submit_ok(std::string_view payload);
-[[nodiscard]] std::string encode_reject(const RejectReply& reply);
-[[nodiscard]] RejectReply decode_reject(std::string_view payload);
-[[nodiscard]] std::string encode_wait(const WaitRequest& request);
-[[nodiscard]] WaitRequest decode_wait(std::string_view payload);
-[[nodiscard]] std::string encode_job_result(const JobResultReply& reply);
-[[nodiscard]] JobResultReply decode_job_result(std::string_view payload);
-[[nodiscard]] std::string encode_stats(const StatsReply& reply);
-[[nodiscard]] StatsReply decode_stats(std::string_view payload);
+/// Parses a payload written by encode_payload<T>; a truncated payload or
+/// trailing bytes throw WireError.
+template <class T>
+[[nodiscard]] T decode_payload(std::string_view payload) {
+  ByteReader<WireError> r(payload);
+  T message;
+  get(r, message);
+  r.expect_end();
+  return message;
+}
 
 // ---- framing over a connected socket --------------------------------------
 

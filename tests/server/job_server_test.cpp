@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "../support/bytes.hpp"
 #include "common/failpoint.hpp"
 #include "model/io.hpp"
 #include "tgff/suites.hpp"
@@ -354,6 +355,60 @@ TEST(JobServer, CrashLoopingJobIsQuarantinedAtRecovery) {
   EXPECT_NE(out.result.report.find("crash"), std::string::npos);
   EXPECT_EQ(server.stats().quarantined, 1u);
   EXPECT_EQ(server.stats().recovered_pending, 0u);
+}
+
+// Journal v2 bytes of the WAL a start compacts, recorded from an earlier
+// build. The replayed state holds one completed, one crash-quarantined,
+// one pending and one quarantined job.
+TEST(JobServer, StartupCompactionMatchesRecordedBytes) {
+  const std::string dir = scratch_dir("compact_pin");
+  const JobOptions options = fast_options(21);
+  {
+    JobJournal journal;
+    (void)journal.open(dir + "/jobs.wal");
+    journal.append_accept(1, 0x11, options, "system a\n");
+    journal.append_attempt(1, 1);
+    JobResultReply result;
+    result.job_id = 1;
+    result.feasible = true;
+    result.avg_power_true = 0.25;
+    result.report = "report a\n";
+    journal.append_complete(result);
+    journal.append_accept(2, 0x22, options, "system b\n");
+    journal.append_attempt(2, 1);
+    journal.append_attempt(2, 2);
+    journal.append_accept(3, 0x33, options, "system c\n");
+    journal.append_attempt(3, 1);
+    journal.append_accept(4, 0x44, options, "system d\n");
+    journal.append_quarantine(4, "poisoned");
+  }
+  ServerOptions server_options = base_options(dir);
+  server_options.workers = 0;
+  JobServer server(std::move(server_options));
+  server.start();
+  EXPECT_EQ(to_hex(read_file(dir + "/jobs.wal")),
+            "4d4d53594e57414c020000004900000001010000000000000011000000000000"
+            "001500000000000000100000001e000000010000000000000000000000000000"
+            "0001000000000000000000000900000073797374656d20610a439a2e000d0000"
+            "0002010000000000000001000000c3d8314c2000000003010000000000000000"
+            "01000000000000d03f090000007265706f727420610a7466b6e3490000000102"
+            "0000000000000022000000000000001500000000000000100000001e00000001"
+            "0000000000000000000000000000000100000000000000000000090000007379"
+            "7374656d20620ae55180310d00000002020000000000000001000000330aaf3b"
+            "0d00000002020000000000000002000000dda51a294100000004020000000000"
+            "00003400000071756172616e74696e6564206174207265636f766572793a2032"
+            "20617474656d70747320656e64656420696e20612063726173687f357da64900"
+            "000001030000000000000033000000000000001500000000000000100000001e"
+            "0000000100000000000000000000000000000001000000000000000000000900"
+            "000073797374656d20630ab8eaca970d00000002030000000000000001000000"
+            "5c460aa049000000010400000000000000440000000000000015000000000000"
+            "00100000001e0000000100000000000000000000000000000001000000000000"
+            "000000000900000073797374656d20640aa9c6dd521500000004040000000000"
+            "000008000000706f69736f6e65645a0e6228");
+  const StatsReply stats = server.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.quarantined, 2u);
+  EXPECT_EQ(stats.recovered_pending, 1u);
 }
 
 TEST(JobServer, DrainLeavesRunningJobResumable) {

@@ -6,9 +6,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <string_view>
+
+#include "../support/bytes.hpp"
 
 namespace mmsyn {
 namespace {
@@ -19,13 +19,6 @@ std::string scratch_path(const char* name) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   return path;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
@@ -40,17 +33,6 @@ JobOptions sample_options() {
   o.generations = 40;
   o.time_budget = 2.5;
   return o;
-}
-
-/// Lower-case hex of `bytes`, for pinning encodings.
-std::string to_hex(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  for (const unsigned char c : bytes) {
-    out += kDigits[c >> 4];
-    out += kDigits[c & 0xf];
-  }
-  return out;
 }
 
 TEST(Journal, FreshFileReplaysEmpty) {
@@ -120,6 +102,53 @@ TEST(Journal, AcceptRecordMatchesRecordedBytes) {
             "0105000000000000001000000028000000010000000600000070762d64767300"
             "0000000800000064706d2d69646c650100000000000004400100090000007379"
             "7374656d20610aa2c344c7");
+}
+
+// Journal v2 bytes of a WAL holding one record of each type, recorded
+// from an earlier build, and the state its replay rebuilds.
+TEST(Journal, EveryRecordTypeMatchesRecordedBytes) {
+  const std::string path = scratch_path("every_type");
+  JobResultReply result;
+  result.job_id = 3;
+  result.outcome = JobOutcome::kCancelled;
+  result.feasible = true;
+  result.avg_power_true = 0.375;
+  result.report = "rep\n";
+  {
+    JobJournal journal;
+    (void)journal.open(path);
+    journal.append_accept(3, 0xfeed, sample_options(), "system c\n");
+    journal.append_attempt(3, 1);
+    journal.append_drained(3);
+    journal.append_complete(result);
+    journal.append_quarantine(3, "boom");
+  }
+  EXPECT_EQ(to_hex(read_file(path)),
+            "4d4d53594e57414c0200000049000000010300000000000000edfe0000000000"
+            "0005000000000000001000000028000000010000000000000000000000000000"
+            "0001000000000000044001000900000073797374656d20630aed34e5280d0000"
+            "00020300000000000000010000005c460aa00900000005030000000000000002"
+            "5611221b0000000303000000000000000201000000000000d83f040000007265"
+            "700a380d0fa01100000004030000000000000004000000626f6f6d62b5a714");
+
+  JobJournal journal;
+  const JournalRecovery recovery = journal.open(path);
+  EXPECT_TRUE(recovery.notes.empty());
+  EXPECT_EQ(recovery.next_job_id, 4u);
+  ASSERT_EQ(recovery.jobs.size(), 1u);
+  const JournalJob& job = recovery.jobs.at(3);
+  EXPECT_EQ(job.fingerprint, 0xfeedu);
+  EXPECT_EQ(job.options, sample_options());
+  EXPECT_EQ(job.system_text, "system c\n");
+  EXPECT_EQ(job.crash_attempts, 0);
+  EXPECT_TRUE(job.completed);
+  EXPECT_EQ(job.result.job_id, 3u);
+  EXPECT_EQ(job.result.outcome, JobOutcome::kCancelled);
+  EXPECT_TRUE(job.result.feasible);
+  EXPECT_EQ(job.result.avg_power_true, 0.375);
+  EXPECT_EQ(job.result.report, "rep\n");
+  EXPECT_TRUE(job.quarantined);
+  EXPECT_EQ(job.quarantine_error, "boom");
 }
 
 TEST(Journal, CrashAttemptsCountDanglingAttempts) {

@@ -8,7 +8,8 @@
 #include <unistd.h>
 
 #include <string>
-#include <string_view>
+
+#include "../support/bytes.hpp"
 
 namespace mmsyn {
 namespace {
@@ -44,22 +45,12 @@ JobOptions sample_options() {
   return o;
 }
 
-/// Lower-case hex of `bytes`, for pinning encodings.
-std::string to_hex(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  for (const unsigned char c : bytes) {
-    out += kDigits[c >> 4];
-    out += kDigits[c & 0xf];
-  }
-  return out;
-}
-
 TEST(Wire, SubmitRoundTrip) {
   SubmitRequest request;
   request.options = sample_options();
   request.system_text = "system x\npe CPU kind=GPP\n";
-  const SubmitRequest back = decode_submit(encode_submit(request));
+  const SubmitRequest back =
+      decode_payload<SubmitRequest>(encode_payload(request));
   EXPECT_EQ(back.options, request.options);
   EXPECT_EQ(back.system_text, request.system_text);
 }
@@ -71,19 +62,20 @@ TEST(Wire, SubmitEncodingMatchesRecordedBytes) {
   request.options = sample_options();
   request.options.power_backend = "thermal";
   request.system_text = "system x\n";
-  EXPECT_EQ(to_hex(encode_submit(request)),
+  EXPECT_EQ(to_hex(encode_payload(request)),
             "2a0000000000000030000000fa000000040000000600000070762d6476730c00"
             "0000626f74746f6d2d6c6576656c07000000746865726d616c00000000000000"
             "f83f00010900000073797374656d20780a");
 }
 
 TEST(Wire, ReplyRoundTrips) {
-  const SubmitReply submit = decode_submit_ok(encode_submit_ok({77, true}));
+  const SubmitReply submit =
+      decode_payload<SubmitReply>(encode_payload(SubmitReply{77, true}));
   EXPECT_EQ(submit.job_id, 77u);
   EXPECT_TRUE(submit.cached);
 
-  const RejectReply reject =
-      decode_reject(encode_reject({RejectCode::kQueueFull, "full"}));
+  const RejectReply reject = decode_payload<RejectReply>(
+      encode_payload(RejectReply{RejectCode::kQueueFull, "full"}));
   EXPECT_EQ(reject.code, RejectCode::kQueueFull);
   EXPECT_EQ(reject.message, "full");
 
@@ -93,46 +85,60 @@ TEST(Wire, ReplyRoundTrips) {
   result.feasible = true;
   result.avg_power_true = 0.1234567890123;
   result.report = std::string(10000, 'r');
-  const JobResultReply back = decode_job_result(encode_job_result(result));
+  const JobResultReply back =
+      decode_payload<JobResultReply>(encode_payload(result));
   EXPECT_EQ(back.job_id, result.job_id);
   EXPECT_EQ(back.outcome, result.outcome);
   EXPECT_EQ(back.feasible, result.feasible);
   EXPECT_DOUBLE_EQ(back.avg_power_true, result.avg_power_true);
   EXPECT_EQ(back.report, result.report);
 
-  StatsReply stats;
-  stats.accepted = 1;
-  stats.completed = 2;
-  stats.quarantined = 3;
-  stats.cache_hits = 4;
-  stats.cache_lookups = 5;
-  stats.queue_full_rejections = 6;
-  stats.retries = 7;
-  stats.watchdog_cancels = 8;
-  stats.recovered_pending = 9;
-  stats.queued = 10;
-  stats.running = 11;
-  const StatsReply sback = decode_stats(encode_stats(stats));
+  const StatsReply stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const StatsReply sback = decode_payload<StatsReply>(encode_payload(stats));
   EXPECT_EQ(sback.accepted, 1u);
   EXPECT_EQ(sback.running, 11u);
   EXPECT_EQ(sback.recovered_pending, 9u);
 }
 
+// Wire v2 bytes of every other payload, recorded from an earlier build
+// like the kSubmit one above.
+TEST(Wire, ReplyAndWaitEncodingsMatchRecordedBytes) {
+  EXPECT_EQ(to_hex(encode_payload(SubmitReply{77, true})),
+            "4d0000000000000001");
+  const RejectReply reject{RejectCode::kQueueFull, "full"};
+  EXPECT_EQ(to_hex(encode_payload(reject)), "01000400000066756c6c");
+  EXPECT_EQ(to_hex(encode_payload(WaitRequest{123})), "7b00000000000000");
+  JobResultReply result;
+  result.job_id = 9;
+  result.outcome = JobOutcome::kBudgetExhausted;
+  result.feasible = false;  // a byte unlike the outcome's
+  result.avg_power_true = 0.1234567890123;
+  result.report = "partial\n";
+  EXPECT_EQ(to_hex(encode_payload(result)),
+            "0900000000000000010084e94637dd9abf3f080000007061727469616c0a");
+  const StatsReply stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  EXPECT_EQ(to_hex(encode_payload(stats)),
+            "0100000000000000020000000000000003000000000000000400000000000000"
+            "0500000000000000060000000000000007000000000000000800000000000000"
+            "09000000000000000a000000000000000b00000000000000");
+}
+
 TEST(Wire, TruncatedPayloadThrows) {
-  const std::string payload = encode_wait({123});
-  EXPECT_THROW((void)decode_wait(payload.substr(0, payload.size() - 1)),
-               WireError);
-  EXPECT_THROW((void)decode_wait(payload + "x"), WireError);
+  const std::string payload = encode_payload(WaitRequest{123});
+  EXPECT_THROW(
+      (void)decode_payload<WaitRequest>(payload.substr(0, payload.size() - 1)),
+      WireError);
+  EXPECT_THROW((void)decode_payload<WaitRequest>(payload + "x"), WireError);
 }
 
 TEST(Wire, FramesOverSocketPair) {
   SocketPair s;
-  send_frame(s.a, MessageType::kWait, encode_wait({5}));
+  send_frame(s.a, MessageType::kWait, encode_payload(WaitRequest{5}));
   send_frame(s.a, MessageType::kStats, {});
   Frame frame;
   ASSERT_TRUE(recv_frame(s.b, frame));
   EXPECT_EQ(frame.type, MessageType::kWait);
-  EXPECT_EQ(decode_wait(frame.payload).job_id, 5u);
+  EXPECT_EQ(decode_payload<WaitRequest>(frame.payload).job_id, 5u);
   ASSERT_TRUE(recv_frame(s.b, frame));
   EXPECT_EQ(frame.type, MessageType::kStats);
   EXPECT_TRUE(frame.payload.empty());
@@ -150,7 +156,7 @@ TEST(Wire, MidFrameEofThrows) {
   SocketPair s;
   // Send a frame, deliver only its first half, then hang up.
   SocketPair capture;
-  send_frame(capture.a, MessageType::kWait, encode_wait({5}));
+  send_frame(capture.a, MessageType::kWait, encode_payload(WaitRequest{5}));
   char buf[64];
   const ssize_t n = ::read(capture.b, buf, sizeof buf);
   ASSERT_GT(n, 8);
@@ -164,7 +170,7 @@ TEST(Wire, MidFrameEofThrows) {
 
 TEST(Wire, CorruptPayloadFailsCrc) {
   SocketPair capture;
-  send_frame(capture.a, MessageType::kWait, encode_wait({5}));
+  send_frame(capture.a, MessageType::kWait, encode_payload(WaitRequest{5}));
   char buf[64];
   const ssize_t n = ::read(capture.b, buf, sizeof buf);
   ASSERT_GT(n, 13);
@@ -178,7 +184,7 @@ TEST(Wire, CorruptPayloadFailsCrc) {
 
 TEST(Wire, VersionSkewThrows) {
   SocketPair capture;
-  send_frame(capture.a, MessageType::kWait, encode_wait({5}));
+  send_frame(capture.a, MessageType::kWait, encode_payload(WaitRequest{5}));
   char buf[64];
   const ssize_t n = ::read(capture.b, buf, sizeof buf);
   ASSERT_GT(n, 12);

@@ -60,12 +60,16 @@ if ! grep -q "bogus" /tmp/mmsyn-ci-power-err.txt; then
   exit 1
 fi
 # Numeric flags fail fast the same way: an empty population, a
-# non-numeric thread count, a suite index outside 1..12 and negative
-# counts (which would wrap to 2^64-1) must exit 1 (not die by a signal,
-# not run) with a message naming the flag.
+# non-numeric thread count, a suite index outside 1..12, negative counts
+# (which would wrap to 2^64-1) and counts outside the int range (which
+# would be truncated) must exit 1 (not die by a signal, not run) with a
+# message naming the flag. So must an unwritable output path.
 for bad in "--population 0" "--threads abc" "--export-mul 13" \
            "--export-mul -1" "--exhaustive-budget -1" \
-           "--mode-cache-capacity -1"; do
+           "--mode-cache-capacity -1" \
+           "--save-mapping /nonexistent-dir/m.map" \
+           "--output /nonexistent-dir/x.mmsyn --export-mul 3" \
+           "--generations 4294967297" "--population 4294967300"; do
   flag=${bad%% *}
   code=0
   $SF --input "$IN" $ARGS $bad > /dev/null 2> /tmp/mmsyn-ci-flag-err.txt \
