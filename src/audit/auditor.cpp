@@ -68,8 +68,9 @@ void push(std::vector<AuditViolation>& out, AuditViolation::Kind kind,
   return total;
 }
 
-/// Fig. 5 consistency for one DVS hardware PE: the segment chain must
-/// conserve both the PE's busy time and its nominal dynamic energy.
+/// Fig. 5 consistency for one DVS hardware PE: the segment chain, plus
+/// the own nodes of tasks too short for a segment, must conserve both the
+/// PE's busy time and its nominal dynamic energy.
 void check_serialization(const Mode& mode, const ModeSchedule& schedule,
                          const ModeMapping& mapping, const DvsGraph& graph,
                          const TechLibrary& tech, PeId p,
@@ -80,7 +81,7 @@ void check_serialization(const Mode& mode, const ModeSchedule& schedule,
   double segment_energy = 0.0;
   bool any_segment = false;
   for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    if (static_cast<DvsNodeKind>(graph.kind[i]) != DvsNodeKind::kSegment ||
+    if (static_cast<DvsNodeKind>(graph.kind[i]) == DvsNodeKind::kComm ||
         graph.pe[i] != static_cast<std::int32_t>(p.index()))
       continue;
     segment_time += graph.tmin[i];
@@ -335,7 +336,7 @@ AuditReport audit_result(const System& system, const SynthesisResult& result,
       if (options.dvs.scale_hardware)
         for (PeId p : arch.pe_ids()) {
           const Pe& pe = arch.pe(p);
-          if (is_hardware(pe.kind) && pe.dvs_enabled)
+          if (fig5_applies(pe))
             check_serialization(mode, schedule, mapping, graph, tech, p,
                                 pe.name, options, out);
         }
@@ -344,7 +345,9 @@ AuditReport audit_result(const System& system, const SynthesisResult& result,
     // Stage replay: re-run the explicit pipeline stages and hold the
     // result to exact equality with what the evaluation carries. Stage
     // 1–2 must reproduce the kept schedule bit-for-bit, stages 3–5 the
-    // claimed per-mode quantities.
+    // claimed per-mode quantities. The replay is handed the full
+    // allocation row, the evaluation only Evaluator::mode_cores, so it
+    // also checks that the groups the narrowed key leaves out are unread.
     {
       const std::vector<CoreSet>& hw_cores = result.cores.per_mode[m];
       const CommMapping comm = pipeline.comm_mapping(m, mapping, hw_cores);

@@ -238,15 +238,16 @@ void MappingGa::evaluate_jobs_incremental(
   }
 
   // Phase 2c (parallel): the missing inner loops, one disjoint slot each.
-  // They run the same pipeline.run a cold evaluation runs, which is what
-  // makes a hit bitwise-indistinguishable from a recompute.
+  // They run the same pipeline.run a cold evaluation runs, on the core
+  // groups their key holds, which is what makes a hit
+  // bitwise-indistinguishable from a recompute.
   std::vector<ModeEvaluation> fresh(mode_jobs.size());
   const ModePipeline& pipeline = evaluator_.pipeline();
   auto run_mode = [&](std::size_t k) {
     const ModeJob& mj = mode_jobs[k];
     const JobState& st = states[mj.job];
     fresh[k] = pipeline.run(mj.mode, st.mapping.modes[mj.mode],
-                            st.cores.per_mode[mj.mode]);
+                            st.keys[mj.mode].cores);
   };
   if (pool_ && mode_jobs.size() > 1) {
     pool_->parallel_for(mode_jobs.size(), run_mode);

@@ -1,7 +1,6 @@
 #include "dvs/dvs_graph.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -39,6 +38,10 @@ struct PeSegments {
 };
 
 }  // namespace
+
+bool fig5_applies(const Pe& pe) {
+  return is_hardware(pe.kind) && pe_scalable(pe);
+}
 
 DvsGraph build_dvs_graph(const Mode& mode, const ModeSchedule& schedule,
                          const ModeMapping& mapping, const Architecture& arch,
@@ -87,8 +90,7 @@ DvsGraph build_dvs_graph(const Mode& mode, const ModeSchedule& schedule,
   std::vector<std::uint8_t> is_dvs_hw(P, 0);
   for (std::size_t p = 0; p < P; ++p) {
     const Pe& pe = arch.pe(PeId{static_cast<PeId::value_type>(p)});
-    is_dvs_hw[p] =
-        (scale_hardware && is_hardware(pe.kind) && pe_scalable(pe)) ? 1 : 0;
+    is_dvs_hw[p] = (scale_hardware && fig5_applies(pe)) ? 1 : 0;
   }
   std::vector<std::vector<std::int32_t>> hosted_by_pe(P);
   for (std::size_t t = 0; t < n_tasks; ++t)
@@ -179,9 +181,19 @@ DvsGraph build_dvs_graph(const Mode& mode, const ModeSchedule& schedule,
         if (std::abs(ps.end[s] - st.finish) < eps)
           ps.task_last[ti] = static_cast<std::int32_t>(s);
       }
-      assert(ps.task_first[ti] >= 0 && ps.task_last[ti] >= 0);
-      g.task_node[ti] =
-          ps.node[static_cast<std::size_t>(ps.task_last[ti])];
+      if (ps.task_first[ti] >= 0 && ps.task_last[ti] >= 0) {
+        g.task_node[ti] =
+            ps.node[static_cast<std::size_t>(ps.task_last[ti])];
+        continue;
+      }
+      // Shorter than the cut tolerance: its start and finish merged into
+      // one cut, so no segment covers it. It gets a fixed-voltage node of
+      // its own, as on a non-DVS PE, carrying its time and energy.
+      const TaskId id{static_cast<TaskId::value_type>(t)};
+      g.task_node[ti] = add_node(
+          DvsNodeKind::kTask, t, p, st.duration(),
+          tech.require(graph.task(id).type, p).energy(), false, 1.0,
+          task_limit(id));
     }
     for (std::size_t s = 0; s + 1 < ps.count(); ++s)
       add_edge(ps.node[s], ps.node[s + 1]);
@@ -203,10 +215,13 @@ DvsGraph build_dvs_graph(const Mode& mode, const ModeSchedule& schedule,
   auto in_node_for = [&](TaskId dst, double arrival) {
     const ScheduledTask& st = schedule.tasks[dst.index()];
     if (!is_dvs_hw[st.pe.index()]) return g.task_node[dst.index()];
+    // A task with a node of its own takes its inputs there.
+    const PeSegments& ps = pe_segments[st.pe.index()];
+    if (ps.task_first[dst.index()] < 0 || ps.task_last[dst.index()] < 0)
+      return g.task_node[dst.index()];
     // Earliest segment starting at/after the arrival; never later than the
     // task's own first segment (the arrival instant is a cut point).
     // Segment starts are ascending, so this is a binary search.
-    const PeSegments& ps = pe_segments[st.pe.index()];
     const auto it = std::lower_bound(ps.start.begin(), ps.start.end(),
                                      arrival - eps);
     if (it != ps.start.end())

@@ -15,7 +15,9 @@
 // Segments chain sequentially and inherit the tightest deadline of the
 // tasks finishing at their end. Cutting at data-arrival instants guarantees
 // that cross-PE edges attach to a segment starting no earlier than the
-// arrival, i.e. edges never point backward in time.
+// arrival, i.e. edges never point backward in time. A task shorter than
+// the cut tolerance (its start and finish merge into one cut) lies in no
+// segment; it keeps a fixed-voltage task node of its own instead.
 //
 // Layout (DESIGN.md §12): the graph is structure-of-arrays — one column
 // per node attribute plus CSR adjacency — because the PV-DVS inner loop
@@ -37,12 +39,14 @@
 namespace mmsyn {
 
 struct Mode;
+struct Pe;
 class Architecture;
 class TechLibrary;
 
 /// Node kinds of the DVS graph.
 enum class DvsNodeKind : std::uint8_t {
-  kTask,     ///< a task on a software PE or non-DVS hardware PE
+  kTask,     ///< a task on a software PE or non-DVS hardware PE, or a
+             ///< DVS-hardware task shorter than the segment cut tolerance
   kComm,     ///< an inter-PE communication on a CL
   kSegment,  ///< a Fig.-5 virtual segment of a DVS hardware PE
 };
@@ -91,7 +95,8 @@ struct DvsGraph {
   std::vector<std::int32_t> topo;
 
   /// node index of each task (kTask) or of the task's *last* segment
-  /// (tasks absorbed into a DVS-HW chain); index == task id.
+  /// (tasks absorbed into a DVS-HW chain); index == task id. Always a
+  /// valid node.
   std::vector<std::int32_t> task_node;
   /// node index of each non-local comm; -1 for local edges. index == edge id.
   std::vector<std::int32_t> comm_node;
@@ -122,6 +127,11 @@ struct DvsGraph {
     return n;
   }
 };
+
+/// True when the Fig. 5 transformation applies to `pe` (under
+/// scale_hardware): a DVS-enabled hardware PE with at least two voltage
+/// levels. Tasks on every other PE keep task nodes.
+[[nodiscard]] bool fig5_applies(const Pe& pe);
 
 /// Builds the DVS graph from a mode schedule. `scale_hardware` enables the
 /// Fig. 5 transformation for DVS hardware PEs; when false those PEs are

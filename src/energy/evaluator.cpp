@@ -146,10 +146,30 @@ Evaluator::Evaluator(const System& system, EvaluationOptions options)
   for (double& w : weights_) w /= total;
 }
 
+std::vector<CoreSet> Evaluator::mode_cores(std::size_t m,
+                                           const MultiModeMapping& mapping,
+                                           const CoreAllocation& cores) const {
+  // The scheduler looks up a core group only for a task it places, so a
+  // group of a type no task of this mode maps onto its PE is never read.
+  const TaskGraph& graph =
+      system_.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)}).graph;
+  const std::vector<PeId>& task_to_pe = mapping.modes[m].task_to_pe;
+  const std::vector<CoreSet>& loaded = cores.per_mode[m];
+  std::vector<CoreSet> used(loaded.size());
+  for (std::size_t t = 0; t < graph.task_count(); ++t) {
+    const std::size_t p = task_to_pe[t].index();
+    const TaskTypeId type =
+        graph.task(TaskId{static_cast<TaskId::value_type>(t)}).type;
+    if (const int count = loaded[p].count_of(type); count > 0)
+      used[p].set_count(type, count);
+  }
+  return used;
+}
+
 ModeEvaluation Evaluator::evaluate_mode(std::size_t m,
                                         const MultiModeMapping& mapping,
                                         const CoreAllocation& cores) const {
-  return pipeline_.run(m, mapping.modes[m], cores.per_mode[m]);
+  return pipeline_.run(m, mapping.modes[m], mode_cores(m, mapping, cores));
 }
 
 ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
@@ -158,7 +178,7 @@ ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
   key.mode = static_cast<std::uint32_t>(m);
   key.options_fingerprint = pipeline_.evaluation_fingerprint();
   key.task_to_pe = mapping.modes[m].task_to_pe;
-  key.cores = cores.per_mode[m];
+  key.cores = mode_cores(m, mapping, cores);
   return key;
 }
 
@@ -246,7 +266,7 @@ Evaluation Evaluator::evaluate(const MultiModeMapping& mapping,
       modes.push_back(*hit);
       continue;
     }
-    modes.push_back(evaluate_mode(m, mapping, cores));
+    modes.push_back(pipeline_.run(m, mapping.modes[m], key.cores));
     cache->insert(key, modes.back());
   }
   return assemble(mapping, cores, std::move(modes));

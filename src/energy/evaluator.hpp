@@ -109,14 +109,17 @@ struct Evaluation {
 };
 
 /// Cache key of one mode's pipeline result: exactly the inputs the
-/// stages read for that mode — its task→PE gene slice, the core sets
-/// loaded in that mode (the allocation slice; for ASICs this folds in
-/// demand from *other* modes, which is why it must be part of the key),
-/// and the evaluation fingerprint of the options the stages read
-/// (scheduler + DVS backend + knobs + power backend). Everything else
-/// (architecture, technology library, task graphs) is fixed per system.
-/// Equality is exact, so a hash collision can never change a result —
-/// the unordered_map resolves it through full key comparison.
+/// stages read for that mode — its task→PE gene slice, the core groups
+/// the mode schedules on (Evaluator::mode_cores: per hardware PE, the
+/// (type, count) entries of the types the mode maps onto it; an ASIC
+/// count folds in demand from *other* modes, which is why it must be
+/// part of the key), and the evaluation fingerprint of the options the
+/// stages read (scheduler + DVS backend + knobs + power backend). The
+/// pipeline runs on the same `cores` the key holds, so a group the key
+/// leaves out is one no stage is handed. Everything else (architecture,
+/// technology library, task graphs) is fixed per system. Equality is
+/// exact, so a hash collision can never change a result — the
+/// unordered_map resolves it through full key comparison.
 struct ModeEvalKey {
   std::uint32_t mode = 0;
   std::uint64_t options_fingerprint = 0;
@@ -201,10 +204,10 @@ private:
 /// never first built concurrently by pool threads; a cyclic graph throws
 /// std::invalid_argument naming its mode.
 ///
-/// Thread safety: `evaluate(mapping, cores)`, `evaluate_mode`, `mode_key`
-/// and `assemble` are pure — they read only the immutable
-/// system/options/weights state and touch no caches or globals (the
-/// whole pipeline: list scheduler, DVS-graph construction and PV-DVS
+/// Thread safety: `evaluate(mapping, cores)`, `evaluate_mode`,
+/// `mode_cores`, `mode_key` and `assemble` are pure — they read only the
+/// immutable system/options/weights state and touch no caches or globals
+/// (the whole pipeline: list scheduler, DVS-graph construction and PV-DVS
 /// keep their state on the stack). One Evaluator instance may therefore
 /// be shared by concurrent callers; the GA's parallel fitness evaluation
 /// relies on this contract. The cache-taking `evaluate` overload mutates
@@ -227,14 +230,25 @@ public:
                                     const CoreAllocation& cores,
                                     ModeEvalCache* cache) const;
 
+  /// The core groups mode `m` schedules on: per PE, only the (type,
+  /// count) entries of `cores.per_mode[m]` whose type some task of mode
+  /// `m` maps onto that PE (software PEs stay empty). The list scheduler
+  /// reads no other group, so the pipeline's result is the same on this
+  /// slice as on the full row.
+  [[nodiscard]] std::vector<CoreSet> mode_cores(
+      std::size_t m, const MultiModeMapping& mapping,
+      const CoreAllocation& cores) const;
+
   /// The per-mode pipeline (communication mapping + list scheduling +
-  /// optional PV-DVS + shut-down analysis) for mode `m` alone. Pure.
+  /// optional PV-DVS + shut-down analysis) for mode `m` alone, run on
+  /// mode_cores(m, mapping, cores). Pure.
   [[nodiscard]] ModeEvaluation evaluate_mode(
       std::size_t m, const MultiModeMapping& mapping,
       const CoreAllocation& cores) const;
 
-  /// Cache key of mode `m` under this evaluator's options. Two equal
-  /// keys are guaranteed identical pipeline results.
+  /// Cache key of mode `m` under this evaluator's options; its `cores`
+  /// is mode_cores(m, mapping, cores). Two equal keys are guaranteed
+  /// identical pipeline results.
   [[nodiscard]] ModeEvalKey mode_key(std::size_t m,
                                      const MultiModeMapping& mapping,
                                      const CoreAllocation& cores) const;

@@ -189,6 +189,10 @@ private:
     }
     if (consumed != text.size())
       throw ParseError(number_, "trailing junk in number: '" + text + "'");
+    // stod reads "nan" and "inf"; no quantity of the format is either
+    // (an absent tmax already means no limit).
+    if (!std::isfinite(value))
+      throw ParseError(number_, "not a finite number: '" + text + "'");
     return value;
   }
 

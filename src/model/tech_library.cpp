@@ -15,9 +15,10 @@ void TechLibrary::set_implementation(TaskTypeId type, PeId pe,
   if (!type.valid() || type.index() >= impls_.size())
     throw std::out_of_range("TechLibrary: unknown task type");
   if (!pe.valid()) throw std::out_of_range("TechLibrary: invalid PE id");
-  if (impl.exec_time <= 0.0)
+  // Negated so NaN, which compares false with everything, is refused too.
+  if (!(impl.exec_time > 0.0))
     throw std::invalid_argument("Implementation exec_time must be positive");
-  if (impl.dyn_power < 0.0 || impl.area < 0.0)
+  if (!(impl.dyn_power >= 0.0) || !(impl.area >= 0.0))
     throw std::invalid_argument("Implementation power/area must be >= 0");
   auto& row = impls_[type.index()];
   if (row.size() <= pe.index()) row.resize(pe.index() + 1);

@@ -60,6 +60,27 @@ TEST_F(AuditorTest, DvsResultPasses) {
   EXPECT_TRUE(report.passed()) << report.to_string();
 }
 
+TEST_F(AuditorTest, SingleLevelDvsHardwareHasNoSegmentsToCheck) {
+  // dvs=1 with one level is fixed-voltage hardware: the Fig. 5 transform
+  // leaves its tasks as task nodes, so there is no segment chain to audit.
+  int hosted_on_hw = 0;
+  for (PeId p : system_.arch.pe_ids()) {
+    Pe& pe = system_.arch.pe(p);
+    if (!is_hardware(pe.kind)) continue;
+    pe.dvs_enabled = true;
+    pe.voltage_levels = {pe.vmax()};
+  }
+  const SynthesisOptions dvs_options = small_options(/*dvs=*/true);
+  const SynthesisResult dvs_result = synthesize(system_, dvs_options);
+  for (const ModeMapping& mode : dvs_result.mapping.modes)
+    for (PeId pe : mode.task_to_pe)
+      hosted_on_hw += is_hardware(system_.arch.pe(pe).kind) ? 1 : 0;
+  ASSERT_GT(hosted_on_hw, 0);
+  const AuditReport report =
+      audit_result(system_, dvs_result, audit_options_for(dvs_options));
+  EXPECT_TRUE(report.passed()) << report.to_string();
+}
+
 TEST_F(AuditorTest, TruncatedMappingIsMalformed) {
   SynthesisResult corrupted = result_;
   corrupted.mapping.modes.pop_back();

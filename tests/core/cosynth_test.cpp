@@ -47,8 +47,8 @@ TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
       {2, 2, 1, 2, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0},
   };
   for (const GoldenRun& golden :
-       {GoldenRun{1, 30, 480, 163, 643, 1520, 2400, 0x1.e0f14ff5cf35ep-7},
-        GoldenRun{3, 30, 1029, 394, 1423, 2948, 5145,
+       {GoldenRun{1, 30, 480, 163, 643, 1782, 2400, 0x1.e0f14ff5cf35ep-7},
+        GoldenRun{3, 30, 1029, 394, 1423, 3540, 5145,
                   0x1.e0f14ff5cf35ep-7}}) {
     SCOPED_TRACE("islands " + std::to_string(golden.islands));
     SynthesisOptions options;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
@@ -12,6 +14,7 @@
 #include "core/genome.hpp"
 #include "core/report.hpp"
 #include "energy/evaluator.hpp"
+#include "tgff/generator.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -45,12 +48,21 @@ void expect_evaluations_identical(const Evaluation& a, const Evaluation& b) {
 /// through a (warm, shared) cache equals the cache-disabled evaluation
 /// bitwise. Mutation chains are the GA's actual workload — consecutive
 /// genomes share most mode slices, so the cache serves real hits.
-void run_mutation_chain(const System& system, EvaluationOptions options,
+/// Returns the hits served to a candidate whose full allocation row for
+/// that mode differs from the row of the candidate that inserted the
+/// entry: the hits only the narrowed key (Evaluator::mode_cores) finds.
+long run_mutation_chain(const System& system, EvaluationOptions options,
                         std::uint64_t seed, int steps) {
   const Evaluator evaluator(system, std::move(options));
   const GenomeCodec codec(system);
   Rng rng(seed);
   ModeEvalCache cache;
+  // Full row of each key's inserter; the chains never fill the cache, so
+  // a key seen before is exactly a hit.
+  std::unordered_map<ModeEvalKey, std::vector<CoreSet>, ModeEvalKeyHash>
+      inserter_row;
+  long seen = 0;
+  long narrowed_hits = 0;
   Genome genome = codec.random_genome(rng);
   for (int step = 0; step < steps; ++step) {
     const std::size_t g = rng.pick_index(codec.genome_length());
@@ -59,12 +71,42 @@ void run_mutation_chain(const System& system, EvaluationOptions options,
     const MultiModeMapping mapping = codec.decode(genome);
     const CoreAllocation cores = build_core_allocation(system, mapping, {});
     SCOPED_TRACE("step " + std::to_string(step));
+    for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
+      const auto [it, inserted] = inserter_row.try_emplace(
+          evaluator.mode_key(m, mapping, cores), cores.per_mode[m]);
+      if (inserted) continue;
+      ++seen;
+      if (it->second != cores.per_mode[m]) ++narrowed_hits;
+    }
     expect_evaluations_identical(evaluator.evaluate(mapping, cores),
                                  evaluator.evaluate(mapping, cores, &cache));
   }
   EXPECT_GT(cache.hits(), 0);
+  EXPECT_EQ(cache.hits(), seen);
   EXPECT_EQ(cache.lookups(),
             static_cast<long>(system.omsm.mode_count()) * steps);
+  return narrowed_hits;
+}
+
+/// A generated system with an ASIC and an FPGA: ASIC rows couple the
+/// modes, FPGA rows differ per mode.
+System asic_fpga_system() {
+  GeneratorConfig cfg;
+  cfg.pe_count_min = cfg.pe_count_max = 4;
+  cfg.tasks_per_mode_min = 8;
+  cfg.tasks_per_mode_max = 16;
+  for (cfg.seed = 1; cfg.seed <= 64; ++cfg.seed) {
+    System system = generate_system(cfg, "asic_fpga");
+    bool asic = false;
+    bool fpga = false;
+    for (PeId p : system.arch.pe_ids()) {
+      asic = asic || system.arch.pe(p).kind == PeKind::kAsic;
+      fpga = fpga || system.arch.pe(p).kind == PeKind::kFpga;
+    }
+    if (asic && fpga) return system;
+  }
+  ADD_FAILURE() << "no generator seed in 1..64 gives an ASIC and an FPGA";
+  return generate_system(cfg, "asic_fpga");
 }
 
 TEST(ModeCacheProperty, CachedEqualsColdOnMutationChains) {
@@ -78,6 +120,18 @@ TEST(ModeCacheProperty, CachedEqualsColdWithDvs) {
   EvaluationOptions options;
   options.use_dvs = true;
   run_mutation_chain(make_mul(3), options, 17, 20);
+}
+
+TEST(ModeCacheProperty, NarrowedKeyHitsAcrossAllocationRows) {
+  const System system = asic_fpga_system();
+  EXPECT_GT(run_mutation_chain(system, EvaluationOptions{}, 43, 60), 0);
+}
+
+TEST(ModeCacheProperty, NarrowedKeyHitsAcrossAllocationRowsWithDvs) {
+  const System system = asic_fpga_system();
+  EvaluationOptions options;
+  options.use_dvs = true;
+  EXPECT_GT(run_mutation_chain(system, options, 47, 40), 0);
 }
 
 TEST(ModeCacheProperty, CachedEqualsColdWithWeightOverride) {

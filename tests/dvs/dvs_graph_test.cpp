@@ -75,6 +75,23 @@ class DvsGraphTest : public ::testing::Test {
         EXPECT_LT(pos[u], pos[static_cast<std::size_t>(v)]);
   }
 
+  /// Every task has a node: no task_node index is left at -1.
+  static void expect_task_nodes_in_range(const DvsGraph& g) {
+    for (std::size_t t = 0; t < g.task_node.size(); ++t) {
+      EXPECT_GE(g.task_node[t], 0) << "task " << t;
+      EXPECT_LT(static_cast<std::size_t>(g.task_node[t]), g.node_count())
+          << "task " << t;
+    }
+  }
+
+  /// A type that runs on the DVS ASIC for less than the cut tolerance
+  /// (1e-9 of the makespan).
+  TaskTypeId short_hw_type() {
+    const TaskTypeId type = system_.tech.add_type("S");
+    system_.tech.set_implementation(type, hw_, {1e-12, 1e-3, 100.0});
+    return type;
+  }
+
   System system_;
   Mode mode_;
   PeId sw_, hw_, fixed_;
@@ -240,6 +257,63 @@ TEST_F(DvsGraphTest, CrossPeArrivalCutsSegment) {
   EXPECT_EQ(g.node(static_cast<std::size_t>(succs[0])).kind,
             DvsNodeKind::kSegment);
   (void)a;
+}
+
+TEST_F(DvsGraphTest, ShortHwTaskGetsANodeOfItsOwn) {
+  // a (10 ms on the GPP) feeds b, which runs 1e-12 s on the DVS ASIC: b's
+  // start and finish merge into one cut, so no segment covers it.
+  const TaskId a = mode_.graph.add_task("a", type_);
+  const TaskId b = mode_.graph.add_task("b", short_hw_type());
+  mode_.graph.add_edge(a, b, 8.0);
+  ModeMapping m;
+  m.task_to_pe = {sw_, hw_};
+  const DvsGraph g = build(m, cores_with(hw_, 0));
+  expect_task_nodes_in_range(g);
+  expect_topological(g);
+  const auto bn = static_cast<std::size_t>(g.task_node[b.index()]);
+  const DvsNode node = g.node(bn);
+  EXPECT_EQ(node.kind, DvsNodeKind::kTask);
+  EXPECT_EQ(node.pe, hw_);
+  EXPECT_FALSE(node.scalable);
+  EXPECT_NEAR(node.tmin, 1e-12, 1e-18);  // finish − start of b
+  EXPECT_DOUBLE_EQ(node.e_nom, 1e-12 * 1e-3);
+  // Wired into the data edge: the transfer feeds b's own node.
+  ASSERT_GE(g.comm_node[0], 0);
+  const auto preds = g.preds(bn);
+  ASSERT_EQ(preds.size(), 1u);
+  EXPECT_EQ(preds[0], g.comm_node[0]);
+}
+
+TEST_F(DvsGraphTest, ShortHwTaskBeforeALongOneKeepsItsOwnNode) {
+  // c (2 ms) follows b on the same ASIC. c's segment starts where b does
+  // but ends 2 ms later, so b has a first segment and no last one.
+  const TaskId a = mode_.graph.add_task("a", type_);
+  const TaskId b = mode_.graph.add_task("b", short_hw_type());
+  const TaskId c = mode_.graph.add_task("c", type_);
+  mode_.graph.add_edge(a, b, 8.0);
+  mode_.graph.add_edge(b, c, 8.0);
+  ModeMapping m;
+  m.task_to_pe = {sw_, hw_, hw_};
+  const DvsGraph g = build(m, cores_with(hw_, 1));
+  expect_task_nodes_in_range(g);
+  expect_topological(g);
+  const auto bn = static_cast<std::size_t>(g.task_node[b.index()]);
+  const auto cn = static_cast<std::size_t>(g.task_node[c.index()]);
+  EXPECT_EQ(g.node(bn).kind, DvsNodeKind::kTask);
+  EXPECT_EQ(g.node(bn).pe, hw_);
+  EXPECT_DOUBLE_EQ(g.node(bn).e_nom, 1e-12 * 1e-3);
+  EXPECT_EQ(g.node(cn).kind, DvsNodeKind::kSegment);
+  // b -> c runs from b's own node into c's segment.
+  const auto succs = g.succs(bn);
+  EXPECT_NE(std::find(succs.begin(), succs.end(),
+                      static_cast<std::int32_t>(cn)),
+            succs.end());
+  // Nominal energy on the ASIC is conserved: segment + own node.
+  double hw_energy = 0.0;
+  for (std::size_t i = 0; i < g.node_count(); ++i)
+    if (g.node(i).kind != DvsNodeKind::kComm && g.node(i).pe == hw_)
+      hw_energy += g.node(i).e_nom;
+  EXPECT_NEAR(hw_energy, 1e-12 * 1e-3 + 0.02 * 2e-3, 1e-12);
 }
 
 }  // namespace

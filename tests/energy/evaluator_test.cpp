@@ -6,6 +6,7 @@
 
 #include "core/allocation_builder.hpp"
 #include "core/cosynth.hpp"
+#include "energy/artifact_hash.hpp"
 #include "model/io.hpp"
 #include "model/system.hpp"
 #include "tgff/motivational.hpp"
@@ -161,6 +162,53 @@ TEST_F(EvaluatorTest, CachedEvaluateBitIdenticalAndCounted) {
   EXPECT_EQ(warm.weighted_timing_violation, cold.weighted_timing_violation);
   EXPECT_EQ(warm.transition_times, cold.transition_times);
   EXPECT_EQ(warm.pe_used_area, cold.pe_used_area);
+}
+
+TEST_F(EvaluatorTest, ModeKeyHoldsOnlyTheGroupsTheModeSchedulesOn) {
+  // U is a type mode A never maps onto the ASIC; another mode's demand
+  // puts it in every mode's ASIC row (cores are static silicon).
+  const TaskTypeId unused = system_.tech.add_type("U");
+  system_.tech.set_implementation(unused, sw_, {1e-3, 0.1, 0.0});
+  system_.tech.set_implementation(unused, hw_, {1e-4, 1e-3, 20.0});
+  system_.tech.set_implementation(unused, fpga_, {1e-4, 1e-3, 20.0});
+  EvaluationOptions opts;
+  opts.keep_schedules = true;
+  const Evaluator evaluator(system_, opts);
+  const MultiModeMapping m = map_to(hw_, sw_);
+
+  CoreAllocation narrow;
+  narrow.per_mode.assign(2, std::vector<CoreSet>(system_.arch.pe_count()));
+  for (auto& row : narrow.per_mode) row[hw_.index()].set_count(type_, 1);
+  CoreAllocation wide = narrow;
+  for (auto& row : wide.per_mode) row[hw_.index()].set_count(unused, 2);
+  // An FPGA group no task of mode A maps onto.
+  wide.per_mode[0][fpga_.index()].set_count(type_, 1);
+  ASSERT_NE(wide.per_mode[0], narrow.per_mode[0]);
+
+  const ModeEvalKey key = evaluator.mode_key(0, m, narrow);
+  EXPECT_EQ(evaluator.mode_key(0, m, wide), key);
+  EXPECT_EQ(key.cores, narrow.per_mode[0]);
+  EXPECT_EQ(evaluator.mode_cores(0, m, wide), narrow.per_mode[0]);
+
+  // Bitwise-equal results, also against the pipeline run on the full
+  // row: a group the key leaves out is one the stages never read.
+  const ModeEvaluation a = evaluator.evaluate_mode(0, m, narrow);
+  const ModeEvaluation b = evaluator.evaluate_mode(0, m, wide);
+  const ModeEvaluation full =
+      evaluator.pipeline().run(0, m.modes[0], wide.per_mode[0]);
+  for (const ModeEvaluation* other : {&b, &full}) {
+    EXPECT_TRUE(equal_mode_evaluations(a, *other));
+    ASSERT_TRUE(a.schedule.has_value() && other->schedule.has_value());
+    EXPECT_TRUE(equal_mode_schedules(*a.schedule, *other->schedule));
+  }
+
+  // The count of a used group is read, so it stays in the key.
+  CoreAllocation more = narrow;
+  for (auto& row : more.per_mode) row[hw_.index()].set_count(type_, 2);
+  EXPECT_NE(evaluator.mode_key(0, m, more), key);
+  // Mode B maps nothing onto hardware: its key holds no group at all.
+  for (const CoreSet& set : evaluator.mode_key(1, m, wide).cores)
+    EXPECT_TRUE(set.empty());
 }
 
 TEST_F(EvaluatorTest, KeepSchedulesBypassesModeCache) {

@@ -4,10 +4,14 @@
 // binaries use) on fixed seeds and assert loose lower bounds on the
 // paper-shape results, so a future change that silently destroys the
 // reproduction (e.g. a generator or GA regression) fails the suite
-// instead of only showing up in the bench output.
+// instead of only showing up in the bench output. The committed inputs
+// under tests/data pin crashes once found, as audited syntheses.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cosynth.hpp"
+#include "model/io.hpp"
 
 #include "../support/audit_every_result.hpp"
 #include "tgff/smart_phone.hpp"
@@ -65,6 +69,25 @@ TEST(Regression, DvsAlwaysBeatsNominalOnSuiteSample) {
     options.use_dvs = true;
     const double dvs = audited_synthesize(system, options).evaluation.avg_power_true;
     EXPECT_LT(dvs, nominal * 0.8) << "mul" << idx;
+  }
+}
+
+TEST(Regression, ShortDvsHardwareTasksSynthesizeAndAudit) {
+  // A hardware task shorter than the Fig. 5 cut tolerance once left its
+  // DVS-graph node index at -1 (an out-of-bounds read: SIGSEGV for the
+  // first input, a silently wrong graph for the second).
+  for (const char* name :
+       {"dvs_hw_short_task.mmsyn", "dvs_hw_short_task_chain.mmsyn"}) {
+    SCOPED_TRACE(name);
+    const System system = load_system(std::string(MMSYN_SOURCE_DIR) +
+                                      "/tests/data/" + name);
+    SynthesisOptions options;
+    options.use_dvs = true;
+    options.ga.population_size = 8;
+    options.ga.max_generations = 3;
+    const SynthesisResult result = audited_synthesize(system, options);
+    EXPECT_TRUE(result.evaluation.feasible());
+    EXPECT_GT(result.evaluation.avg_power_true, 0.0);
   }
 }
 

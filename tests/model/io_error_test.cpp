@@ -77,6 +77,20 @@ std::vector<ErrorCase> error_cases() {
        8, "trailing junk"},
       {"BadNumberInLevels", replace_line(2, "pe CPU kind=GPP levels=1.2,oops"),
        2, "not a number"},
+      // stod reads these; the parser must not.
+      {"NanTime", replace_line(6, "impl FFT CPU time=nan power=0.2"), 6,
+       "not a finite number"},
+      {"InfPower",
+       replace_line(7, "impl FFT ACC time=1e-4 power=inf area=50"), 7,
+       "not a finite number"},
+      {"InfPeriod", replace_line(8, "mode run psi=1.0 period=inf"), 8,
+       "not a finite number"},
+      {"NanPsi", replace_line(8, "mode run psi=nan period=0.01"), 8,
+       "not a finite number"},
+      {"NanBits", replace_line(11, "edge a b bits=nan"), 11,
+       "not a finite number"},
+      {"NanInLevels", replace_line(2, "pe CPU kind=GPP levels=1.1,nan"), 2,
+       "not a finite number"},
       {"MissingRequiredOption", replace_line(4, "cl BUS attached=CPU,ACC"), 4,
        "missing option 'bandwidth'"},
       {"MissingPositional", replace_line(5, "type"), 5, "missing argument"},

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mmsyn {
 namespace {
 
@@ -75,6 +77,14 @@ TEST(TechLibrary, InvalidInputsRejected) {
                std::invalid_argument);
   EXPECT_THROW(lib.set_implementation(t, PeId{0}, {1, -1, 1}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(lib.set_implementation(t, PeId{0}, {nan, 1, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(lib.set_implementation(t, PeId{0}, {1, nan, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(lib.set_implementation(t, PeId{0}, {1, 1, nan}),
+               std::invalid_argument);
+  EXPECT_FALSE(lib.implementation(t, PeId{0}).has_value());
 }
 
 }  // namespace

@@ -84,6 +84,40 @@ for bad in "--population 0" "--threads abc" "--export-mul 13" \
   fi
 done
 
+echo "== regression inputs + malformed numbers =="
+# Each committed regression input must synthesize with --dvs and pass its
+# audit (exit 0); death by a signal fails. They pin DVS hardware tasks
+# shorter than the Fig. 5 cut tolerance, which once read out of bounds.
+REGRESSION_INPUTS="tests/data/dvs_hw_short_task.mmsyn
+tests/data/dvs_hw_short_task_chain.mmsyn"
+for in in $REGRESSION_INPUTS; do
+  code=0
+  $SF --input "$in" --dvs --audit --population 8 --generations 3 \
+    --report-timing=false > /dev/null || code=$?
+  if [ "$code" != 0 ]; then
+    echo "ci: FAIL ($in with --dvs --audit exited $code, expected 0)"
+    exit 1
+  fi
+done
+# A number the parser reads as NaN or infinity must be refused: exit 1
+# (not 0, not a signal) with a message naming the file and line.
+for sub in "time=nan" "period=inf"; do
+  bad=/tmp/mmsyn-ci-${sub%%=*}.mmsyn
+  sed "0,/${sub%%=*}=[^ ]*/s//$sub/" "$IN" > "$bad"
+  line=$(grep -n "$sub" "$bad" | cut -d: -f1)
+  code=0
+  $SF --input "$bad" $ARGS > /dev/null 2> /tmp/mmsyn-ci-num-err.txt \
+    || code=$?
+  if [ "$code" != 1 ]; then
+    echo "ci: FAIL ($sub exited $code, expected 1)"
+    exit 1
+  fi
+  if ! grep -q -- "$bad:$line: not a finite number" /tmp/mmsyn-ci-num-err.txt; then
+    echo "ci: FAIL (the error for $sub does not name $bad:$line)"
+    exit 1
+  fi
+done
+
 echo "== power-backend ablation gate =="
 # power_backends exits nonzero when a structural ordering (thermal >=
 # paper >= dpm-idle in Psi-weighted static power) breaks or a backend's
@@ -234,6 +268,12 @@ echo "== address-sanitizer crash torture (failpoints armed) =="
 bench/crash_torture.sh ./build-asan/examples/synthesize_file
 MMSYN_FAILPOINTS='alloc.arena=fail@1;pool.task=fail@3;cache.insert=corrupt@2' \
   ./build-asan/examples/synthesize_file --input "$IN" $ARGS > /dev/null
+
+echo "== address-sanitizer regression inputs =="
+for in in $REGRESSION_INPUTS; do
+  ./build-asan/examples/synthesize_file --input "$in" --dvs --audit \
+    --population 8 --generations 3 > /dev/null
+done
 
 echo "== address-sanitizer power backends (thermal / dpm-idle) =="
 # The non-reference power paths (fixed-point thermal iteration, per-PE
