@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/checksum.hpp"
 #include "common/thread_pool.hpp"
@@ -65,27 +66,25 @@ MappingGa::MappingGa(const System& system, const Evaluator& evaluator,
       codec_(system),
       seed_(seed),
       rng_(RngKind::kThreefry, seed, rng_stream),
-      mode_cache_(options.mode_cache_capacity) {
-  const int threads = ThreadPool::resolve_thread_count(options_.num_threads);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
+      pool_(std::make_unique<ThreadPool>(
+          ThreadPool::resolve_thread_count(options.num_threads))),
+      mode_cache_(options.mode_cache_capacity) {}
 
 MappingGa::~MappingGa() = default;
 
-MappingGa::CachedFitness MappingGa::finish_fitness(
-    const Evaluation& eval) const {
-  CachedFitness c;
+Score MappingGa::finish_fitness(const Evaluation& eval) const {
+  Score c;
   c.fitness = mapping_fitness(eval, evaluator_, fitness_params_);
   c.violation = constraint_violation(eval, evaluator_);
+  c.power_true = eval.avg_power_true;
+  c.evaluated = true;
   c.area_infeasible = !eval.area_feasible();
   c.timing_infeasible = !eval.timing_feasible();
   c.transition_infeasible = !eval.transitions_feasible();
-  c.power_true = eval.avg_power_true;
   return c;
 }
 
-MappingGa::CachedFitness MappingGa::compute_fitness(
-    const Genome& genome) const {
+Score MappingGa::compute_fitness(const Genome& genome) const {
   const MultiModeMapping mapping = codec_.decode(genome);
   const CoreAllocation cores =
       build_core_allocation(system_, mapping, alloc_options_);
@@ -99,7 +98,7 @@ bool MappingGa::mode_cache_active() const {
          !evaluator_.options().keep_schedules;
 }
 
-void MappingGa::cache_insert(const Genome& genome, const CachedFitness& value) {
+void MappingGa::cache_insert(const Genome& genome, const Score& value) {
   const std::size_t cap = options_.memoize_cache_capacity;
   if (cap > 0) {
     while (cache_.size() >= cap && !cache_order_.empty()) {
@@ -113,16 +112,6 @@ void MappingGa::cache_insert(const Genome& genome, const CachedFitness& value) {
 void MappingGa::evaluate_batch(const std::vector<Individual*>& batch) {
   constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
-  auto apply = [](Individual& ind, const CachedFitness& c) {
-    ind.fitness = c.fitness;
-    ind.violation = c.violation;
-    ind.area_infeasible = c.area_infeasible;
-    ind.timing_infeasible = c.timing_infeasible;
-    ind.transition_infeasible = c.transition_infeasible;
-    ind.power_true = c.power_true;
-    ind.evaluated = true;
-  };
-
   // Phase 1 (serial, batch order): cache lookups plus in-batch dedup.
   // A genome that repeats inside the batch would, one-at-a-time, hit the
   // cache on its second occurrence — mirror that accounting exactly.
@@ -132,14 +121,14 @@ void MappingGa::evaluate_batch(const std::vector<Individual*>& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Individual& ind = *batch[i];
     if (options_.memoize_evaluations) {
-      ++cache_lookups_;
+      ++counters_.cache_lookups;
       if (auto it = cache_.find(ind.genome); it != cache_.end()) {
-        ++cache_hits_;
-        apply(ind, it->second);
+        ++counters_.cache_hits;
+        ind.score = it->second;
         continue;
       }
       if (auto it = in_flight.find(ind.genome); it != in_flight.end()) {
-        ++cache_hits_;
+        ++counters_.cache_hits;
         job_of[i] = it->second;
         continue;
       }
@@ -152,32 +141,27 @@ void MappingGa::evaluate_batch(const std::vector<Individual*>& batch) {
   // Phase 2: pure evaluations, one slot per unique genome — through the
   // per-mode memo when it is active (see evaluate_jobs_incremental), as
   // plain whole-genome evaluations otherwise.
-  std::vector<CachedFitness> results(jobs.size());
+  std::vector<Score> results(jobs.size());
   if (mode_cache_active()) {
     evaluate_jobs_incremental(jobs, results);
   } else {
-    auto run_job = [&](std::size_t j) {
+    pool_->parallel_for(jobs.size(), [&](std::size_t j) {
       results[j] = compute_fitness(*jobs[j]);
-    };
-    if (pool_ && jobs.size() > 1) {
-      pool_->parallel_for(jobs.size(), run_job);
-    } else {
-      for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
-    }
+    });
   }
 
   // Phase 3 (serial, job then batch order): counters, cache, results.
-  evaluations_ += static_cast<long>(jobs.size());
+  counters_.evaluations += static_cast<long>(jobs.size());
   if (options_.memoize_evaluations)
     for (std::size_t j = 0; j < jobs.size(); ++j)
       cache_insert(*jobs[j], results[j]);
   for (std::size_t i = 0; i < batch.size(); ++i)
-    if (job_of[i] != kNoJob) apply(*batch[i], results[job_of[i]]);
+    if (job_of[i] != kNoJob) batch[i]->score = results[job_of[i]];
 }
 
 void MappingGa::evaluate_jobs_incremental(
     const std::vector<const Genome*>& jobs,
-    std::vector<CachedFitness>& results) {
+    std::vector<Score>& results) {
   constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
   const std::size_t n_modes = system_.omsm.mode_count();
 
@@ -193,7 +177,7 @@ void MappingGa::evaluate_jobs_incremental(
     std::vector<std::size_t> pending;
   };
   std::vector<JobState> states(jobs.size());
-  auto prepare = [&](std::size_t j) {
+  pool_->parallel_for(jobs.size(), [&](std::size_t j) {
     JobState& st = states[j];
     st.mapping = codec_.decode(*jobs[j]);
     st.cores = build_core_allocation(system_, st.mapping, alloc_options_);
@@ -202,12 +186,7 @@ void MappingGa::evaluate_jobs_incremental(
       st.keys.push_back(evaluator_.mode_key(m, st.mapping, st.cores));
     st.modes.resize(n_modes);
     st.pending.assign(n_modes, kNoJob);
-  };
-  if (pool_ && jobs.size() > 1) {
-    pool_->parallel_for(jobs.size(), prepare);
-  } else {
-    for (std::size_t j = 0; j < jobs.size(); ++j) prepare(j);
-  }
+  });
 
   // Phase 2b (serial, job then mode order): memo lookups with in-flight
   // dedup — two jobs sharing a mode slice schedule its inner loop once;
@@ -243,17 +222,12 @@ void MappingGa::evaluate_jobs_incremental(
   // bitwise-indistinguishable from a recompute.
   std::vector<ModeEvaluation> fresh(mode_jobs.size());
   const ModePipeline& pipeline = evaluator_.pipeline();
-  auto run_mode = [&](std::size_t k) {
+  pool_->parallel_for(mode_jobs.size(), [&](std::size_t k) {
     const ModeJob& mj = mode_jobs[k];
     const JobState& st = states[mj.job];
     fresh[k] = pipeline.run(mj.mode, st.mapping.modes[mj.mode],
                             st.keys[mj.mode].cores);
-  };
-  if (pool_ && mode_jobs.size() > 1) {
-    pool_->parallel_for(mode_jobs.size(), run_mode);
-  } else {
-    for (std::size_t k = 0; k < mode_jobs.size(); ++k) run_mode(k);
-  }
+  });
 
   // Phase 2d (serial, job then mode order): collect the fresh results,
   // insert each exactly once — by its owning job, so the FIFO order
@@ -291,27 +265,6 @@ double MappingGa::population_diversity() const {
   }
   return samples ? total / samples : 0.0;
 }
-
-namespace {
-
-SnapshotIndividual snapshot_individual(double fitness, double violation,
-                                       double power_true, bool evaluated,
-                                       bool area_inf, bool timing_inf,
-                                       bool transition_inf,
-                                       const Genome& genome) {
-  SnapshotIndividual s;
-  s.genome = genome;
-  s.fitness = fitness;
-  s.violation = violation;
-  s.power_true = power_true;
-  s.evaluated = evaluated;
-  s.area_infeasible = area_inf;
-  s.timing_infeasible = timing_inf;
-  s.transition_infeasible = transition_inf;
-  return s;
-}
-
-}  // namespace
 
 std::uint64_t MappingGa::state_fingerprint() const {
   // Everything that shapes the trajectory; num_threads is deliberately
@@ -351,9 +304,16 @@ std::uint64_t MappingGa::state_fingerprint() const {
   return h.digest();
 }
 
+GaCounters MappingGa::counters() const {
+  GaCounters c = counters_;
+  c.mode_cache_hits = mode_cache_.hits();
+  c.mode_cache_lookups = mode_cache_.lookups();
+  return c;
+}
+
 GaSnapshot MappingGa::snapshot(const LoopState& st) const {
-  const Individual& best = st.best;
   GaSnapshot s;
+  static_cast<GaCounters&>(s) = counters();
   s.fingerprint = state_fingerprint();
   s.next_generation = st.generation;
   s.stagnation = st.stagnation;
@@ -361,38 +321,20 @@ GaSnapshot MappingGa::snapshot(const LoopState& st) const {
   s.area_infeasible_streak = st.area_infeasible_streak;
   s.timing_infeasible_streak = st.timing_infeasible_streak;
   s.transition_infeasible_streak = st.transition_infeasible_streak;
-  s.evaluations = evaluations_;
-  s.cache_hits = cache_hits_;
-  s.cache_lookups = cache_lookups_;
   s.elapsed_seconds = loop_elapsed(st);
   s.rng_state = rng_.state();
-  s.has_best = best.evaluated;
-  s.best = snapshot_individual(best.fitness, best.violation, best.power_true,
-                               best.evaluated, best.area_infeasible,
-                               best.timing_infeasible,
-                               best.transition_infeasible, best.genome);
-  s.population.reserve(population_.size());
-  for (const Individual& ind : population_)
-    s.population.push_back(snapshot_individual(
-        ind.fitness, ind.violation, ind.power_true, ind.evaluated,
-        ind.area_infeasible, ind.timing_infeasible, ind.transition_infeasible,
-        ind.genome));
+  s.has_best = st.best.score.evaluated;
+  s.best = st.best;
+  s.population = population_;
   // Cache entries in insertion order so FIFO eviction replays identically.
   s.cache.reserve(cache_order_.size());
-  for (const Genome& genome : cache_order_) {
-    const CachedFitness& c = cache_.at(genome);
-    s.cache.push_back(snapshot_individual(
-        c.fitness, c.violation, c.power_true, /*evaluated=*/true,
-        c.area_infeasible, c.timing_infeasible, c.transition_infeasible,
-        genome));
-  }
+  for (const Genome& genome : cache_order_)
+    s.cache.push_back({genome, cache_.at(genome)});
   // The per-mode memo travels too (insertion order again): its hit/lookup
   // counters are part of the reported statistics, and replaying the warm
   // cache keeps a resumed run's wall clock — not just its results — close
   // to the uninterrupted run's.
   s.mode_cache = mode_cache_.entries();
-  s.mode_cache_hits = mode_cache_.hits();
-  s.mode_cache_lookups = mode_cache_.lookups();
   return s;
 }
 
@@ -404,6 +346,23 @@ void MappingGa::restore(const GaSnapshot& snapshot) {
   if (snapshot.population.size() !=
       static_cast<std::size_t>(options_.population_size))
     throw CheckpointError("population size mismatch");
+  // The fingerprint pins the genome structure but not the genes: every
+  // one of them indexes a candidate list when it is decoded.
+  auto check_genome = [&](const Genome& genome) {
+    if (genome.size() != codec_.genome_length())
+      throw CheckpointError("genome of " + std::to_string(genome.size()) +
+                            " genes, expected " +
+                            std::to_string(codec_.genome_length()));
+    for (std::size_t g = 0; g < genome.size(); ++g)
+      if (genome[g] >= codec_.candidates(g).size())
+        throw CheckpointError(
+            "gene " + std::to_string(g) + " holds candidate " +
+            std::to_string(genome[g]) + " of " +
+            std::to_string(codec_.candidates(g).size()));
+  };
+  for (const Individual& ind : snapshot.population) check_genome(ind.genome);
+  if (snapshot.has_best) check_genome(snapshot.best.genome);
+  for (const Individual& entry : snapshot.cache) check_genome(entry.genome);
   restored_ = std::make_unique<GaSnapshot>(snapshot);
 }
 
@@ -578,23 +537,6 @@ Genome MappingGa::knapsack_seed_genome(std::vector<double> mode_weights) const {
   return genome;
 }
 
-namespace {
-
-MappingGa::Individual individual_from_snapshot(const SnapshotIndividual& s) {
-  MappingGa::Individual ind;
-  ind.genome = s.genome;
-  ind.fitness = s.fitness;
-  ind.violation = s.violation;
-  ind.power_true = s.power_true;
-  ind.evaluated = s.evaluated;
-  ind.area_infeasible = s.area_infeasible;
-  ind.timing_infeasible = s.timing_infeasible;
-  ind.transition_infeasible = s.transition_infeasible;
-  return ind;
-}
-
-}  // namespace
-
 double MappingGa::loop_elapsed(const LoopState& st) const {
   // Wall-clock seconds spent before a resumed checkpoint count too, so
   // budgets and the reported elapsed time span interruptions.
@@ -604,7 +546,7 @@ double MappingGa::loop_elapsed(const LoopState& st) const {
              .count();
 }
 
-const MappingGa::Individual& MappingGa::population_at(int slot) const {
+const Individual& MappingGa::population_at(int slot) const {
   return population_[static_cast<std::size_t>(slot)];
 }
 
@@ -615,8 +557,8 @@ void MappingGa::install_individual(int slot, Individual migrant) {
 void MappingGa::start_loop(LoopState& st) {
   st = LoopState{};
   st.t_begin = std::chrono::steady_clock::now();
-  st.best.fitness = std::numeric_limits<double>::infinity();
-  st.best.violation = std::numeric_limits<double>::infinity();
+  st.best.score.fitness = std::numeric_limits<double>::infinity();
+  st.best.score.violation = std::numeric_limits<double>::infinity();
 
   if (restored_) {
     // Resume: replay the exact state entering `next_generation` — the
@@ -625,29 +567,20 @@ void MappingGa::start_loop(LoopState& st) {
     // left off). From here the run is bit-identical to one that was never
     // interrupted.
     const GaSnapshot& s = *restored_;
-    population_.clear();
-    population_.reserve(s.population.size());
-    for (const SnapshotIndividual& ind : s.population)
-      population_.push_back(individual_from_snapshot(ind));
-    if (s.has_best) st.best = individual_from_snapshot(s.best);
+    population_ = s.population;
+    if (s.has_best) st.best = s.best;
     st.stagnation = s.stagnation;
     st.converged = s.converged;
     st.area_infeasible_streak = s.area_infeasible_streak;
     st.timing_infeasible_streak = s.timing_infeasible_streak;
     st.transition_infeasible_streak = s.transition_infeasible_streak;
-    evaluations_ = s.evaluations;
-    cache_hits_ = s.cache_hits;
-    cache_lookups_ = s.cache_lookups;
+    counters_ = s;  // the snapshot's GaCounters base
     st.elapsed_base = s.elapsed_seconds;
     rng_.set_state(s.rng_state);
     cache_.clear();
     cache_order_.clear();
-    for (const SnapshotIndividual& entry : s.cache)
-      cache_insert(entry.genome,
-                   CachedFitness{entry.fitness, entry.violation,
-                                 entry.area_infeasible, entry.timing_infeasible,
-                                 entry.transition_infeasible,
-                                 entry.power_true});
+    for (const Individual& entry : s.cache)
+      cache_insert(entry.genome, entry.score);
     mode_cache_.restore(s.mode_cache, s.mode_cache_hits,
                         s.mode_cache_lookups);
     st.generation = s.next_generation;
@@ -685,19 +618,20 @@ bool MappingGa::step_generation(
     // worker pool (bit-identical to the serial path, see evaluate_batch).
     std::vector<Individual*> unevaluated;
     for (Individual& ind : population_)
-      if (!ind.evaluated) unevaluated.push_back(&ind);
+      if (!ind.score.evaluated) unevaluated.push_back(&ind);
     evaluate_batch(unevaluated);
 
     // Line 15: rank individuals (best first), feasibility-first.
     std::sort(population_.begin(), population_.end(),
               [](const Individual& a, const Individual& b) {
-                return candidate_better(a.violation, a.fitness, b.violation,
-                                        b.fitness);
+                return candidate_better(a.score.violation, a.score.fitness,
+                                        b.score.violation, b.score.fitness);
               });
 
     const Individual& front = population_.front();
-    if (candidate_better(front.violation, front.fitness, st.best.violation,
-                         st.best.fitness * (1.0 - 1e-9))) {
+    if (candidate_better(front.score.violation, front.score.fitness,
+                         st.best.score.violation,
+                         st.best.score.fitness * (1.0 - 1e-9))) {
       st.best = front;
       st.stagnation = 0;
     } else {
@@ -705,10 +639,8 @@ bool MappingGa::step_generation(
     }
 
     if (observer)
-      observer(GaProgress{st.generation, st.best.fitness, st.best.power_true,
-                          population_diversity(), evaluations_, cache_hits_,
-                          cache_lookups_, mode_cache_.hits(),
-                          mode_cache_.lookups()});
+      observer(GaProgress{counters(), st.generation, st.best.score.fitness,
+                          st.best.score.power_true, population_diversity()});
 
     // Line 02: convergence criterion — stagnation. Latched in `converged`
     // (and persisted in checkpoints): the island coordinator treats a
@@ -801,23 +733,26 @@ bool MappingGa::step_generation(
       if (!rng_.chance(options_.shutdown_improvement_rate)) continue;
       Individual& ind = population_[static_cast<std::size_t>(i)];
       if (shutdown_improvement(ind.genome, codec_, system_, rng_))
-        ind.evaluated = false;
+        ind.score.evaluated = false;
     }
 
     // Stagnation-triggered sweeps, driven by whole-population
     // infeasibility streaks.
     const bool all_area = std::all_of(
         population_.begin(), population_.end(),
-        [](const Individual& i) { return !i.evaluated || i.area_infeasible; });
+        [](const Individual& i) {
+          return !i.score.evaluated || i.score.area_infeasible;
+        });
     const bool all_timing =
         std::all_of(population_.begin(), population_.end(),
                     [](const Individual& i) {
-                      return !i.evaluated || i.timing_infeasible;
+                      return !i.score.evaluated || i.score.timing_infeasible;
                     });
     const bool all_transition =
         std::all_of(population_.begin(), population_.end(),
                     [](const Individual& i) {
-                      return !i.evaluated || i.transition_infeasible;
+                      return !i.score.evaluated ||
+                             i.score.transition_infeasible;
                     });
     st.area_infeasible_streak = all_area ? st.area_infeasible_streak + 1 : 0;
     st.timing_infeasible_streak =
@@ -831,7 +766,7 @@ bool MappingGa::step_generation(
       for (int i = 0; i < sweep; ++i) {
         Individual& ind = population_[non_elite_index()];
         if (area_improvement(ind.genome, codec_, system_, rng_))
-          ind.evaluated = false;
+          ind.score.evaluated = false;
       }
       st.area_infeasible_streak = 0;
     }
@@ -839,7 +774,7 @@ bool MappingGa::step_generation(
       for (int i = 0; i < sweep; ++i) {
         Individual& ind = population_[non_elite_index()];
         if (timing_improvement(ind.genome, codec_, system_, rng_))
-          ind.evaluated = false;
+          ind.score.evaluated = false;
       }
       st.timing_infeasible_streak = 0;
     }
@@ -847,7 +782,7 @@ bool MappingGa::step_generation(
       for (int i = 0; i < sweep; ++i) {
         Individual& ind = population_[non_elite_index()];
         if (transition_improvement(ind.genome, codec_, system_, rng_))
-          ind.evaluated = false;
+          ind.score.evaluated = false;
       }
       st.transition_infeasible_streak = 0;
     }
@@ -869,8 +804,9 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
     for (Individual& trial : trials) batch.push_back(&trial);
     evaluate_batch(batch);
     for (Individual& trial : trials) {
-      if (candidate_better(trial.violation, trial.fitness, st.best.violation,
-                           st.best.fitness * (1.0 - 1e-12))) {
+      if (candidate_better(trial.score.violation, trial.score.fitness,
+                           st.best.score.violation,
+                           st.best.score.fitness * (1.0 - 1e-12))) {
         st.best = trial;
         improved = true;
       }
@@ -881,7 +817,7 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
   // price the strongest seed (slot 0 holds the objective-aware greedy
   // when heuristic seeding is on) so even a zero-budget run returns a
   // well-formed, fully evaluated candidate.
-  if (!st.best.evaluated && !population_.empty()) {
+  if (!st.best.score.evaluated && !population_.empty()) {
     Individual fallback{population_.front().genome};
     evaluate(fallback);
     st.best = fallback;
@@ -902,7 +838,7 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
   };
 
   // Memetic polish: single-gene hill climbing on the best individual.
-  if (options_.final_hill_climb_passes > 0 && st.best.evaluated &&
+  if (options_.final_hill_climb_passes > 0 && st.best.score.evaluated &&
       !polish_interrupted()) {
     std::vector<std::size_t> order(codec_.genome_length());
     for (std::size_t g = 0; g < order.size(); ++g) order[g] = g;
@@ -920,9 +856,8 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
         trials.reserve(cands - 1);
         for (std::uint16_t c = 0; c < cands; ++c) {
           if (c == original) continue;
-          Individual trial = st.best;
+          Individual trial{st.best.genome};
           trial.genome[g] = c;
-          trial.evaluated = false;
           trials.push_back(std::move(trial));
         }
         merge_trials(trials, improved);
@@ -934,7 +869,7 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
   // 2-opt polish on small genomes: coordinated two-gene moves (e.g. swap
   // one core allocation for another that only fits after freeing area).
   // One gene pair's candidate grid forms one parallel batch.
-  if (st.best.evaluated &&
+  if (st.best.score.evaluated &&
       static_cast<int>(codec_.genome_length()) <=
           options_.final_two_opt_max_genes &&
       !polish_interrupted()) {
@@ -953,10 +888,9 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
             for (std::uint16_t c2 = 0; c2 < c2n; ++c2) {
               if (c1 == st.best.genome[g1] && c2 == st.best.genome[g2])
                 continue;
-              Individual trial = st.best;
+              Individual trial{st.best.genome};
               trial.genome[g1] = c1;
               trial.genome[g2] = c2;
-              trial.evaluated = false;
               trials.push_back(std::move(trial));
             }
           }
@@ -970,16 +904,12 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
 SynthesisResult MappingGa::harvest(const LoopState& st) {
   // Assemble the result from the best individual seen.
   SynthesisResult result;
+  static_cast<GaCounters&>(result) = counters();
   result.mapping = codec_.decode(st.best.genome);
   result.cores = build_core_allocation(system_, result.mapping, alloc_options_);
   result.evaluation = evaluator_.evaluate(result.mapping, result.cores);
-  result.fitness = st.best.fitness;
+  result.fitness = st.best.score.fitness;
   result.generations = st.generation;
-  result.evaluations = evaluations_;
-  result.cache_hits = cache_hits_;
-  result.cache_lookups = cache_lookups_;
-  result.mode_cache_hits = mode_cache_.hits();
-  result.mode_cache_lookups = mode_cache_.lookups();
   result.elapsed_seconds = loop_elapsed(st);
   result.partial = st.partial;
   result.stop_reason = st.stop_reason;

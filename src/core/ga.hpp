@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -121,20 +122,67 @@ struct GaOptions {
   double improvement_sweep_fraction = 0.25;
 };
 
+/// The score of one mapping string (Fig. 4, lines 03–14): F_M plus the
+/// constraint state the feasibility-first ranking and the improvement
+/// sweeps read (see candidate_better).
+struct Score {
+  double fitness = 0.0;
+  /// Normalised constraint violation (0 == feasible).
+  double violation = 0.0;
+  /// Average power under the true mode probabilities (Eq. 1).
+  double power_true = 0.0;
+  bool evaluated = false;
+  bool area_infeasible = false;
+  bool timing_infeasible = false;
+  bool transition_infeasible = false;
+
+  /// Checkpoint order (core/run_control.cpp writes an individual's score
+  /// with put()).
+  template <class Self>
+  static auto fields(Self& s) {
+    return std::tie(s.fitness, s.violation, s.power_true, s.evaluated,
+                    s.area_infeasible, s.timing_infeasible,
+                    s.transition_infeasible);
+  }
+  friend bool operator==(const Score&, const Score&) = default;
+};
+
+/// One GA candidate: a population slot, a migrant, the best-so-far, or a
+/// fitness-memo entry of a checkpoint.
+struct Individual {
+  Genome genome;
+  Score score{};
+  friend bool operator==(const Individual&, const Individual&) = default;
+};
+
+/// A run's work counters. Summed across islands; checkpointed, so a
+/// resumed run continues them.
+struct GaCounters {
+  long evaluations = 0;
+  /// Fitness-memo hits / lookups (both 0 when the memo is off).
+  long cache_hits = 0;
+  long cache_lookups = 0;
+  /// Per-mode memo hits / lookups (see GaOptions::
+  /// memoize_mode_evaluations; both 0 when the memo is off).
+  long mode_cache_hits = 0;
+  long mode_cache_lookups = 0;
+
+  GaCounters& operator+=(const GaCounters& o) {
+    evaluations += o.evaluations;
+    cache_hits += o.cache_hits;
+    cache_lookups += o.cache_lookups;
+    mode_cache_hits += o.mode_cache_hits;
+    mode_cache_lookups += o.mode_cache_lookups;
+    return *this;
+  }
+};
+
 /// Progress snapshot handed to the optional per-generation observer.
-struct GaProgress {
+struct GaProgress : GaCounters {
   int generation = 0;
   double best_fitness = 0.0;
   double best_power_true = 0.0;
   double diversity = 0.0;
-  long evaluations = 0;
-  /// Memoisation-cache hits / lookups so far (hits == 0 when disabled).
-  long cache_hits = 0;
-  long cache_lookups = 0;
-  /// Per-mode incremental-evaluation cache counters (see GaOptions::
-  /// memoize_mode_evaluations); lookups stay 0 when the cache is off.
-  long mode_cache_hits = 0;
-  long mode_cache_lookups = 0;
 };
 
 /// Why a run ended early (`SynthesisResult::partial`). Typed so service
@@ -148,22 +196,14 @@ enum class StopReason : std::uint8_t {
   kBudgetExhausted,   ///< RunControl wall-clock budget expired
 };
 
-/// Synthesis outcome.
-struct SynthesisResult {
+/// Synthesis outcome; its counters cover the whole run.
+struct SynthesisResult : GaCounters {
   MultiModeMapping mapping;
   CoreAllocation cores;
   /// Final evaluation of the best candidate (reporting configuration).
   Evaluation evaluation;
   double fitness = 0.0;
   int generations = 0;
-  long evaluations = 0;
-  /// Memoisation-cache hits / lookups over the whole run.
-  long cache_hits = 0;
-  long cache_lookups = 0;
-  /// Per-mode incremental-evaluation cache hits / lookups over the run
-  /// (both 0 when GaOptions::memoize_mode_evaluations is off).
-  long mode_cache_hits = 0;
-  long mode_cache_lookups = 0;
   /// Always 0: the schedule-stage cache these counted no longer exists.
   /// Kept only because the whole-system benchmark (perfbench/) reads them.
   long schedule_cache_hits = 0;
@@ -195,7 +235,9 @@ public:
   /// Restores the state captured by a checkpoint so the next start_loop()
   /// continues bit-identically to the uninterrupted run. Throws
   /// CheckpointError when the snapshot's fingerprint does not match this
-  /// GA's configuration (different seed, options, or system).
+  /// GA's configuration (different seed, options, or system), or when a
+  /// population, best or memo genome does not fit the genome structure
+  /// (wrong length, or a gene past its candidate count).
   void restore(const GaSnapshot& snapshot);
 
   /// Fingerprint of everything that shapes the GA trajectory: seed,
@@ -218,9 +260,8 @@ public:
 
   [[nodiscard]] const GenomeCodec& codec() const { return codec_; }
 
-  /// The per-mode memo this GA fills during its run (IslandGa sums its
-  /// counters into the whole-run totals).
-  [[nodiscard]] const ModeEvalCache& mode_cache() const { return mode_cache_; }
+  /// This GA's work so far (IslandGa sums them into the whole-run totals).
+  [[nodiscard]] GaCounters counters() const;
 
   // ---- Stepping interface (DESIGN.md §14) -------------------------------
   //
@@ -230,19 +271,6 @@ public:
   // of step_generation calls — which is why the loop state lives in an
   // explicit struct instead of a stack frame. Internal API: exposed for
   // the island driver and its tests, not a stability surface.
-
-  struct Individual {
-    Genome genome;
-    double fitness = 0.0;
-    /// Normalised constraint violation (0 == feasible); ranking is
-    /// feasible-first (see candidate_better).
-    double violation = 0.0;
-    bool evaluated = false;
-    bool area_infeasible = false;
-    bool timing_infeasible = false;
-    bool transition_infeasible = false;
-    double power_true = 0.0;
-  };
 
   /// The loop bookkeeping a driver keeps between generations.
   struct LoopState {
@@ -302,28 +330,14 @@ public:
     return static_cast<int>(population_.size());
   }
 
-  /// Counter accessors for cross-island aggregation.
-  [[nodiscard]] long evaluations() const { return evaluations_; }
-  [[nodiscard]] long cache_hits() const { return cache_hits_; }
-  [[nodiscard]] long cache_lookups() const { return cache_lookups_; }
-
 private:
-  /// Fitness memo entry / result of one pure evaluation.
-  struct CachedFitness {
-    double fitness;
-    double violation;
-    bool area_infeasible;
-    bool timing_infeasible;
-    bool transition_infeasible;
-    double power_true;
-  };
-
   /// The pure (thread-safe) part of an evaluation: decode, allocate
   /// cores, schedule + DVS, fitness. Touches no GA state.
-  [[nodiscard]] CachedFitness compute_fitness(const Genome& genome) const;
+  [[nodiscard]] Score compute_fitness(const Genome& genome) const;
 
-  /// Fitness/violation/feasibility bookkeeping from a finished evaluation.
-  [[nodiscard]] CachedFitness finish_fitness(const Evaluation& eval) const;
+  /// The score of a finished evaluation (the only place that computes
+  /// one).
+  [[nodiscard]] Score finish_fitness(const Evaluation& eval) const;
 
   /// True when evaluations should run through the per-mode cache (the
   /// option is on and the evaluator keeps no schedules, which the cache
@@ -344,10 +358,10 @@ private:
   /// run the missing inner loops in parallel, then assemble + insert
   /// serially in job order. Fills `results[j]` for every job.
   void evaluate_jobs_incremental(const std::vector<const Genome*>& jobs,
-                                 std::vector<CachedFitness>& results);
+                                 std::vector<Score>& results);
 
   void evaluate(Individual& ind);
-  void cache_insert(const Genome& genome, const CachedFitness& value);
+  void cache_insert(const Genome& genome, const Score& value);
   [[nodiscard]] double population_diversity() const;
 
   const System& system_;
@@ -359,21 +373,22 @@ private:
   std::uint64_t seed_;
   Rng rng_;
   std::vector<Individual> population_;
-  long evaluations_ = 0;
-  long cache_hits_ = 0;
-  long cache_lookups_ = 0;
+  /// Evaluations and fitness-memo counts; the per-mode memo counts its
+  /// own hits and lookups (see counters()).
+  GaCounters counters_;
 
   /// Restored checkpoint state consumed by the next start_loop(); null
   /// when starting fresh (see restore()).
   std::unique_ptr<GaSnapshot> restored_;
 
-  /// Worker pool for evaluate_batch; null when num_threads resolves to 1.
+  /// Worker pool for evaluate_batch's parallel phases (no workers when
+  /// num_threads resolves to 1: its items then run inline).
   std::unique_ptr<ThreadPool> pool_;
 
   /// Fitness memo keyed by genome (see GaOptions::memoize_evaluations),
   /// bounded by memoize_cache_capacity with FIFO eviction (cache_order_
   /// tracks insertion order).
-  std::unordered_map<Genome, CachedFitness, GenomeHash> cache_;
+  std::unordered_map<Genome, Score, GenomeHash> cache_;
   std::deque<Genome> cache_order_;
 
   /// Per-mode inner-loop memo (see GaOptions::memoize_mode_evaluations).

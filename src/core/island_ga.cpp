@@ -150,7 +150,7 @@ void IslandGa::migrate() {
   // Gather first, then install: every emigrant is copied from the
   // pre-migration population, so the exchange is order-independent even
   // though the installs run in fixed island order.
-  std::vector<std::vector<MappingGa::Individual>> emigrants(
+  std::vector<std::vector<Individual>> emigrants(
       static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto& out = emigrants[static_cast<std::size_t>(i)];
@@ -269,8 +269,8 @@ SynthesisResult IslandGa::run(
 
   Island* best = islands_.front().get();
   for (const auto& island : islands_) {
-    const MappingGa::Individual& a = island->st.best;
-    const MappingGa::Individual& b = best->st.best;
+    const Score& a = island->st.best.score;
+    const Score& b = best->st.best.score;
     // Strictly-better wins, so ties go to the lowest island index.
     if (candidate_better(a.violation, a.fitness, b.violation, b.fitness))
       best = island.get();
@@ -285,24 +285,15 @@ SynthesisResult IslandGa::run(
   // Cross-island aggregation: the champion's mapping with whole-run
   // counters — total work across all shards, the slowest island's
   // generation count and wall clock.
-  long evaluations = 0, cache_hits = 0, cache_lookups = 0;
-  long mode_hits = 0, mode_lookups = 0;
+  GaCounters total;
   int generations = 0;
   double elapsed = 0.0;
   for (auto& island : islands_) {
-    evaluations += island->ga.evaluations();
-    cache_hits += island->ga.cache_hits();
-    cache_lookups += island->ga.cache_lookups();
-    mode_hits += island->ga.mode_cache().hits();
-    mode_lookups += island->ga.mode_cache().lookups();
+    total += island->ga.counters();
     generations = std::max(generations, island->st.generation);
     elapsed = std::max(elapsed, island->ga.loop_elapsed(island->st));
   }
-  result.evaluations = evaluations;
-  result.cache_hits = cache_hits;
-  result.cache_lookups = cache_lookups;
-  result.mode_cache_hits = mode_hits;
-  result.mode_cache_lookups = mode_lookups;
+  static_cast<GaCounters&>(result) = total;
   result.generations = generations;
   result.elapsed_seconds = elapsed;
   return result;

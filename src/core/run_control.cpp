@@ -47,37 +47,33 @@ constexpr std::uint32_t kVersion = 8;
 
 using Reader = ByteReader<CheckpointError>;
 
-// The memo's ModeEvaluation values go through put/get and their fields()
-// list. The codecs below stay hand-written because their layouts are not
-// plain field lists: a snapshot stores the genome length once and the
-// best individual only when there is one, and a memo key bounds each
-// element count by that element's minimum size.
+// An individual's score and a memo entry's ModeEvaluation go through
+// put/get and their fields() lists. What stays hand-written is the layout
+// around them: a snapshot stores the genome length once (an individual
+// is its genes, then its score) and the best individual only when there
+// is one, and a memo key bounds each element count by that element's
+// minimum size.
 
-void write_individual(ByteWriter& w, const SnapshotIndividual& ind,
+template <class T>
+std::uint64_t encoded_size(const T& value) {
+  ByteWriter w;
+  put(w, value);
+  return w.take().size();
+}
+
+void write_individual(ByteWriter& w, const Individual& ind,
                       std::size_t genome_length) {
   if (ind.genome.size() != genome_length)
     throw CheckpointError("inconsistent genome length in snapshot");
   for (std::uint16_t gene : ind.genome) w.u16(gene);
-  w.f64(ind.fitness);
-  w.f64(ind.violation);
-  w.f64(ind.power_true);
-  w.boolean(ind.evaluated);
-  w.boolean(ind.area_infeasible);
-  w.boolean(ind.timing_infeasible);
-  w.boolean(ind.transition_infeasible);
+  put(w, ind.score);
 }
 
-SnapshotIndividual read_individual(Reader& r, std::size_t genome_length) {
-  SnapshotIndividual ind;
+Individual read_individual(Reader& r, std::size_t genome_length) {
+  Individual ind;
   ind.genome.resize(genome_length);
   for (std::uint16_t& gene : ind.genome) gene = r.u16();
-  ind.fitness = r.f64();
-  ind.violation = r.f64();
-  ind.power_true = r.f64();
-  ind.evaluated = r.boolean();
-  ind.area_infeasible = r.boolean();
-  ind.timing_infeasible = r.boolean();
-  ind.transition_infeasible = r.boolean();
+  get(r, ind.score);
   return ind;
 }
 
@@ -139,10 +135,10 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   w.boolean(snapshot.has_best);
   if (snapshot.has_best) write_individual(w, snapshot.best, genome_length);
   w.u64(snapshot.population.size());
-  for (const SnapshotIndividual& ind : snapshot.population)
+  for (const Individual& ind : snapshot.population)
     write_individual(w, ind, genome_length);
   w.u64(snapshot.cache.size());
-  for (const SnapshotIndividual& ind : snapshot.cache)
+  for (const Individual& ind : snapshot.cache)
     write_individual(w, ind, genome_length);
   w.i64(snapshot.mode_cache_hits);
   w.i64(snapshot.mode_cache_lookups);
@@ -164,14 +160,13 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   GaSnapshot s;
   s.fingerprint = r.u64();
   // Smallest serialized sizes bound the counts: a gene is a u16; an
-  // individual adds three f64 and four flags; a memo entry is at least a
-  // key (u32 + three u64) and an evaluation with no PEs or CLs.
+  // individual adds its score; a memo entry is at least a key (u32 +
+  // three u64) and an evaluation with no PEs or CLs.
   const std::uint64_t genome_length = r.bounded(r.u64(), 2);
-  const std::uint64_t individual_bytes = 2 * genome_length + 3 * 8 + 4;
-  ByteWriter empty_evaluation;
-  put(empty_evaluation, ModeEvaluation{});
+  const std::uint64_t individual_bytes =
+      2 * genome_length + encoded_size(Score{});
   const std::uint64_t mode_entry_bytes =
-      (4 + 3 * 8) + empty_evaluation.take().size();
+      (4 + 3 * 8) + encoded_size(ModeEvaluation{});
   s.next_generation = r.i32();
   s.stagnation = r.i32();
   s.converged = r.boolean();

@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/genome.hpp"
+#include "core/ga.hpp"
 #include "energy/evaluator.hpp"
 
 namespace mmsyn {
@@ -46,28 +46,13 @@ public:
       : std::runtime_error("checkpoint: " + message) {}
 };
 
-/// Serialized state of one individual (population slot, best-so-far, or
-/// memo-cache entry; the flags mirror MappingGa's internal bookkeeping).
-struct SnapshotIndividual {
-  Genome genome;
-  double fitness = 0.0;
-  double violation = 0.0;
-  double power_true = 0.0;
-  bool evaluated = false;
-  bool area_infeasible = false;
-  bool timing_infeasible = false;
-  bool transition_infeasible = false;
-
-  friend bool operator==(const SnapshotIndividual&,
-                         const SnapshotIndividual&) = default;
-};
-
 /// Complete resumable state of one island's GA, captured at a generation
 /// boundary (the state *entering* `next_generation`). Restoring it and
 /// running on is bit-identical to never having stopped: the RNG stream,
 /// the memo cache (in insertion order, so FIFO eviction replays), and
-/// every counter continue exactly where they left off.
-struct GaSnapshot {
+/// every counter (the GaCounters base) continue exactly where they left
+/// off.
+struct GaSnapshot : GaCounters {
   /// Configuration fingerprint (seed, GA options, genome structure,
   /// evaluator weights); resume refuses a mismatch.
   std::uint64_t fingerprint = 0;
@@ -82,24 +67,19 @@ struct GaSnapshot {
   int area_infeasible_streak = 0;
   int timing_infeasible_streak = 0;
   int transition_infeasible_streak = 0;
-  long evaluations = 0;
-  long cache_hits = 0;
-  long cache_lookups = 0;
   /// Wall-clock seconds already spent before the checkpoint; resumed runs
   /// accumulate on top so time budgets span interruptions.
   double elapsed_seconds = 0.0;
   std::array<std::uint64_t, 4> rng_state{};
   bool has_best = false;
-  SnapshotIndividual best;
-  std::vector<SnapshotIndividual> population;
+  Individual best;
+  std::vector<Individual> population;
   /// Fitness-memo entries in insertion (FIFO) order.
-  std::vector<SnapshotIndividual> cache;
-  /// Per-mode inner-loop memo entries, also in insertion order, plus its
-  /// hit/lookup counters (see ModeEvalCache). Cached entries never carry
-  /// schedules; serialization rejects one that does.
+  std::vector<Individual> cache;
+  /// Per-mode inner-loop memo entries, also in insertion order (see
+  /// ModeEvalCache). Cached entries never carry schedules; serialization
+  /// rejects one that does.
   std::vector<std::pair<ModeEvalKey, ModeEvaluation>> mode_cache;
-  long mode_cache_hits = 0;
-  long mode_cache_lookups = 0;
 };
 
 /// Resumable state of one synthesis run (see DESIGN.md §9 and §14). Every

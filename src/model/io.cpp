@@ -1,10 +1,13 @@
 #include "model/io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -114,7 +117,8 @@ std::string system_to_string(const System& system) {
 
 namespace {
 
-/// Tokenised line with key=value option access.
+/// Tokenised line with key=value option access. A key given twice is an
+/// error.
 class Line {
 public:
   Line(int number, const std::string& text) : number_(number) {
@@ -122,11 +126,29 @@ public:
     std::string token;
     while (is >> token) {
       if (token[0] == '#') break;
-      if (auto eq = token.find('='); eq != std::string::npos)
-        options_[token.substr(0, eq)] = token.substr(eq + 1);
-      else
+      if (auto eq = token.find('='); eq != std::string::npos) {
+        if (!options_.emplace(token.substr(0, eq), token.substr(eq + 1))
+                 .second)
+          throw ParseError(number_, "repeated option '" + token + "'");
+      } else {
         positional_.push_back(token);
+      }
     }
+  }
+
+  /// Refuses every token the keyword does not take: a key outside `keys`,
+  /// or a positional token past the first `positional` (the keyword
+  /// itself counts as one).
+  void expect(std::size_t positional,
+              std::initializer_list<std::string_view> keys) const {
+    for (const auto& [key, value] : options_)
+      if (std::find(keys.begin(), keys.end(), key) == keys.end())
+        throw ParseError(number_, "unknown option '" + key + "=" + value +
+                                      "' for '" + keyword() + "'");
+    if (positional_.size() > positional)
+      throw ParseError(number_, "unexpected token '" +
+                                    positional_[positional] + "' after '" +
+                                    keyword() + "'");
   }
 
   [[nodiscard]] bool empty() const {
@@ -237,8 +259,11 @@ System read_system(std::istream& is) {
     const std::string& kw = line.keyword();
 
     if (kw == "system") {
+      line.expect(2, {});
       system.name = line.arg(1, "system name");
     } else if (kw == "pe") {
+      line.expect(2, {"kind", "dvs", "levels", "vt", "area", "static",
+                      "reconfig_bw"});
       Pe pe;
       pe.name = line.arg(1, "pe name");
       if (pes.count(pe.name))
@@ -257,6 +282,7 @@ System read_system(std::istream& is) {
         throw ParseError(line.number(), e.what());
       }
     } else if (kw == "cl") {
+      line.expect(2, {"bandwidth", "startup", "power", "static", "attached"});
       Cl cl;
       cl.name = line.arg(1, "cl name");
       cl.bandwidth = line.require_num("bandwidth");
@@ -271,11 +297,13 @@ System read_system(std::istream& is) {
         throw ParseError(line.number(), e.what());
       }
     } else if (kw == "type") {
+      line.expect(2, {});
       const std::string& name = line.arg(1, "type name");
       if (types.count(name))
         throw ParseError(line.number(), "duplicate type '" + name + "'");
       types[name] = system.tech.add_type(name);
     } else if (kw == "impl") {
+      line.expect(3, {"time", "power", "area"});
       const TaskTypeId type =
           lookup(types, line.arg(1, "type name"), line, "type");
       const PeId pe = lookup(pes, line.arg(2, "pe name"), line, "PE");
@@ -289,6 +317,7 @@ System read_system(std::istream& is) {
         throw ParseError(line.number(), e.what());
       }
     } else if (kw == "mode") {
+      line.expect(2, {"psi", "period"});
       Mode mode;
       mode.name = line.arg(1, "mode name");
       if (modes.count(mode.name))
@@ -300,6 +329,7 @@ System read_system(std::istream& is) {
       current_mode = id;
       tasks_in_mode.clear();
     } else if (kw == "task") {
+      line.expect(3, {"deadline"});
       if (!current_mode.valid())
         throw ParseError(line.number(), "'task' before any 'mode'");
       const std::string& name = line.arg(1, "task name");
@@ -313,6 +343,7 @@ System read_system(std::istream& is) {
       tasks_in_mode[name] =
           system.omsm.mode(current_mode).graph.add_task(name, type, deadline);
     } else if (kw == "edge") {
+      line.expect(3, {"bits"});
       if (!current_mode.valid())
         throw ParseError(line.number(), "'edge' before any 'mode'");
       const TaskId src =
@@ -326,6 +357,7 @@ System read_system(std::istream& is) {
         throw ParseError(line.number(), e.what());
       }
     } else if (kw == "transition") {
+      line.expect(3, {"tmax"});
       const ModeId from =
           lookup(modes, line.arg(1, "source mode"), line, "mode");
       const ModeId to = lookup(modes, line.arg(2, "target mode"), line, "mode");

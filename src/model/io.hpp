@@ -20,6 +20,20 @@
 //
 // `task` and `edge` lines attach to the most recent `mode`. Entities are
 // referenced by name; `#` starts a comment. Names must be whitespace-free.
+// Each keyword takes exactly its positional arguments and only its keys:
+//
+//   system <name>
+//   pe <name>                kind dvs levels vt area static reconfig_bw
+//   cl <name>                bandwidth startup power static attached
+//   type <name>
+//   impl <type> <pe>         time power area
+//   mode <name>              psi period
+//   task <name> <type>       deadline
+//   edge <source> <target>   bits
+//   transition <from> <to>   tmax
+//
+// An unknown key, a key given twice or an extra positional token is a
+// ParseError naming the line and the token.
 #pragma once
 
 #include <iosfwd>

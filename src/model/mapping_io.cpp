@@ -68,6 +68,9 @@ MultiModeMapping read_mapping(std::istream& is, const System& system) {
     std::string mode_name, task_name, pe_name;
     if (!(line >> mode_name >> task_name >> pe_name))
       throw ParseError(number, "expected: map <mode> <task> <pe>");
+    if (std::string extra; line >> extra && extra[0] != '#')
+      throw ParseError(number, "unexpected token '" + extra +
+                                   "' after 'map <mode> <task> <pe>'");
     const auto mode_it = modes.find(mode_name);
     if (mode_it == modes.end())
       throw ParseError(number, "unknown mode '" + mode_name + "'");

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -12,8 +13,10 @@
 
 #include "common/checksum.hpp"
 #include "core/cosynth.hpp"
+#include "core/genome.hpp"
 #include "core/island_ga.hpp"
 #include "core/report.hpp"
+#include "energy/artifact_hash.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -51,15 +54,12 @@ GaSnapshot sample_snapshot() {
   snap.elapsed_seconds = 9.25;
   snap.rng_state = {1, 2, 3, 0xffffffffffffffffull};
   snap.has_best = true;
-  snap.best = SnapshotIndividual{{0, 1, 2}, -1.5, 0.0, 0.004,
-                                 true, false, false, false};
+  snap.best = Individual{{0, 1, 2}, {-1.5, 0.0, 0.004, true, false, false,
+                                      false}};
   snap.population = {
-      SnapshotIndividual{{0, 1, 2}, -1.5, 0.0, 0.004, true, false, false,
-                         false},
-      SnapshotIndividual{{2, 1, 0}, 3.0, 0.5, 0.009, true, true, false,
-                         true},
-      SnapshotIndividual{{1, 1, 1}, 0.0, 0.0, 0.0, false, false, false,
-                         false},
+      Individual{{0, 1, 2}, {-1.5, 0.0, 0.004, true, false, false, false}},
+      Individual{{2, 1, 0}, {3.0, 0.5, 0.009, true, true, false, true}},
+      Individual{{1, 1, 1}, {0.0, 0.0, 0.0, false, false, false, false}},
   };
   snap.cache = {snap.population[0], snap.population[1]};
 
@@ -123,17 +123,10 @@ void expect_mode_entries_equal(
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].first, b[i].first);  // ModeEvalKey has operator==
-    const ModeEvaluation& x = a[i].second;
-    const ModeEvaluation& y = b[i].second;
-    EXPECT_EQ(x.dyn_energy, y.dyn_energy);
-    EXPECT_EQ(x.dyn_power, y.dyn_power);
-    EXPECT_EQ(x.static_power, y.static_power);
-    EXPECT_EQ(x.timing_violation, y.timing_violation);
-    EXPECT_EQ(x.makespan, y.makespan);
-    EXPECT_EQ(x.pe_active, y.pe_active);
-    EXPECT_EQ(x.cl_active, y.cl_active);
-    EXPECT_EQ(x.routable, y.routable);
-    EXPECT_FALSE(y.schedule.has_value());
+    // Every field of ModeEvaluation::fields, the list the codec writes.
+    EXPECT_TRUE(equal_mode_evaluations(a[i].second, b[i].second))
+        << "memo entry " << i;
+    EXPECT_FALSE(b[i].second.schedule.has_value());
   }
 }
 
@@ -175,6 +168,24 @@ TEST(Checkpoint, RoundTripsExactly) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, RoundTripsPowerModelMemoFields) {
+  // sample_snapshot's memo values leave the four power-model fields at 0
+  // (its bytes are pinned below); nonzero ones must survive the codec too.
+  const std::string path = scratch_path("power_fields");
+  GaSnapshot original = sample_snapshot();
+  double offset = 0.0;
+  for (auto& [key, value] : original.mode_cache) {
+    value.baseline_static_power = 0.0125 + offset;
+    value.idle_energy_saved = 3.5e-4 + offset;
+    value.wake_energy = 1.25e-5 + offset;
+    value.temperature = 61.5 + offset;
+    offset += 1.0;
+  }
+  save_one_island(path, original);
+  expect_snapshots_equal(load_one_island(path), original);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, RoundTripsSnapshotWithoutBest) {
   // A run stopped before its first evaluation (e.g. a job drained at
   // generation 0) checkpoints no best individual and an empty best genome
@@ -182,7 +193,7 @@ TEST(Checkpoint, RoundTripsSnapshotWithoutBest) {
   const std::string path = scratch_path("no_best");
   GaSnapshot original = sample_snapshot();
   original.has_best = false;
-  original.best = SnapshotIndividual{};
+  original.best = Individual{};
   save_one_island(path, original);
   expect_snapshots_equal(load_one_island(path), original);
   std::remove(path.c_str());
@@ -644,6 +655,65 @@ TEST(Resume, FingerprintMismatchRefused) {
   other.ga.gene_mutation_rate *= 2;  // different GA options
   EXPECT_THROW((void)synthesize(system, other, &resumer), CheckpointError);
   std::remove(path.c_str());
+}
+
+TEST(Resume, ForgedGeneRefused) {
+  // The fingerprint pins the genome structure but not the genes. A
+  // CRC-valid checkpoint whose gene indexes past its candidate list must
+  // be refused before anything decodes it out of bounds.
+  const System system = make_mul(4);
+  const std::string path = scratch_path("resume_forged_gene");
+  remove_generations(path);
+  const SynthesisOptions options = small_options(7);
+  RunControl writer;
+  writer.checkpoint_path = path;
+  writer.checkpoint_every_generations = 5;
+  writer.checkpoint_keep_generations = 1;
+  (void)synthesize(system, options, &writer);
+  const IslandSnapshot clean = load_island_checkpoint(path);
+  ASSERT_EQ(clean.islands.size(), 1u);
+
+  // Forge an individual the next generation would decode.
+  const std::vector<Individual>& population = clean.islands[0].population;
+  const auto unevaluated =
+      std::find_if(population.begin(), population.end(),
+                   [](const Individual& ind) { return !ind.score.evaluated; });
+  ASSERT_NE(unevaluated, population.end());
+  const auto slot = static_cast<std::size_t>(unevaluated - population.begin());
+  const std::size_t candidates = GenomeCodec(system).candidates(0).size();
+
+  const Evaluator evaluator(system, [&] {
+    EvaluationOptions eval;
+    eval.scheduling_policy = options.scheduling_policy;
+    eval.dvs = options.dvs_in_loop;
+    return eval;
+  }());
+  for (const std::size_t gene : {candidates, std::size_t{65535}}) {
+    SCOPED_TRACE("gene value " + std::to_string(gene));
+    IslandSnapshot forged = clean;
+    forged.islands[0].population[slot].genome[0] =
+        static_cast<std::uint16_t>(gene);
+    save_island_checkpoint_rotating(path, forged, /*keep=*/1);
+
+    IslandGa ga(system, evaluator, options.fitness, options.allocation,
+                options.ga, IslandOptions{}, options.seed);
+    try {
+      ga.restore(load_island_checkpoint(path));
+      FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "gene 0 holds candidate " + std::to_string(gene) + " of " +
+                    std::to_string(candidates)),
+                std::string::npos)
+          << e.what();
+    }
+
+    RunControl resumer;
+    resumer.resume_path = path;
+    EXPECT_THROW((void)synthesize(system, options, &resumer),
+                 CheckpointError);
+  }
+  remove_generations(path);
 }
 
 // ---------------------------------------------------------------------

@@ -96,6 +96,21 @@ std::vector<ErrorCase> error_cases() {
       {"MissingPositional", replace_line(5, "type"), 5, "missing argument"},
       {"TruncatedMapLine", replace_line(11, "edge a"), 11,
        "missing argument"},
+      // Every keyword takes a fixed set of keys and positional arguments.
+      {"MisspelledOption",
+       replace_line(7, "impl FFT ACC time=1e-4 power=0.01 aera=50"), 7,
+       "unknown option 'aera=50' for 'impl'"},
+      {"OptionOfAnotherKeyword", replace_line(10, "task b FFT bits=100"), 10,
+       "unknown option 'bits=100' for 'task'"},
+      {"OptionOnBareKeyword", replace_line(5, "type FFT area=1"), 5,
+       "unknown option 'area=1' for 'type'"},
+      {"RepeatedOption",
+       replace_line(6, "impl FFT CPU time=1e-3 power=0.2 time=5"), 6,
+       "repeated option 'time=5'"},
+      {"EdgeBitsWithoutKey", replace_line(11, "edge a b 100"), 11,
+       "unexpected token '100' after 'edge'"},
+      {"TrailingSystemToken", replace_line(1, "system tiny v2"), 1,
+       "unexpected token 'v2' after 'system'"},
   };
 }
 

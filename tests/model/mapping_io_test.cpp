@@ -64,6 +64,26 @@ TEST(MappingIo, UnknownNamesRejected) {
       ParseError);
 }
 
+TEST(MappingIo, TrailingTokenRejected) {
+  const System system = make_motivational_example1();
+  const std::string text =
+      mapping_to_string(system, example1_mapping_with_probabilities());
+  const auto eol = text.find('\n', text.find("map "));
+  ASSERT_NE(eol, std::string::npos);
+  std::string extra = text;
+  extra.insert(eol, " PE1");
+  try {
+    (void)mapping_from_string(extra, system);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(e.message().find("unexpected token 'PE1'"), std::string::npos)
+        << e.message();
+  }
+  std::string comment = text;
+  comment.insert(eol, " # trailing comment");
+  EXPECT_NO_THROW((void)mapping_from_string(comment, system));
+}
+
 TEST(MappingIo, UnsupportedPeRejected) {
   // Example 2's types B/C/E/F are software-only: mapping one to PE1 fails.
   const System system = make_motivational_example2();

@@ -117,6 +117,68 @@ for sub in "time=nan" "period=inf"; do
     exit 1
   fi
 done
+# Every keyword takes a fixed set of keys and positional arguments: a
+# misspelt key, a repeated key and an edge whose bit count lost its
+# `bits=` must be refused the same way, naming the offending token.
+for case in "aera|0,/ area=320/s// aera=320/|aera=320" \
+            "time|0,/^impl .*/s//& time=5/|time=5" \
+            "bits|0,/bits=/s///|4096"; do
+  IFS='|' read -r name expr token <<< "$case"
+  bad=/tmp/mmsyn-ci-key-$name.mmsyn
+  sed "$expr" "$IN" > "$bad"
+  line=$(grep -n -- "$token" "$bad" | head -1 | cut -d: -f1)
+  code=0
+  $SF --input "$bad" $ARGS > /dev/null 2> /tmp/mmsyn-ci-key-err.txt \
+    || code=$?
+  if [ "$code" != 1 ]; then
+    echo "ci: FAIL ($name case exited $code, expected 1)"
+    exit 1
+  fi
+  if ! grep -qF -- "$bad:$line:" /tmp/mmsyn-ci-key-err.txt ||
+     ! grep -qF -- "'$token'" /tmp/mmsyn-ci-key-err.txt; then
+    echo "ci: FAIL (the error for the $name case does not name $bad:$line and '$token')"
+    exit 1
+  fi
+done
+
+echo "== forged checkpoint gene =="
+# The fingerprint pins the genome structure but not the genes: a
+# CRC-valid checkpoint with a gene past its candidate list must be
+# refused (exit 1, "cannot resume"), never decoded out of bounds.
+forged_gene_leg() {
+  local sf=$1 dir code=0
+  dir=$(mktemp -d /tmp/mmsyn-ci-forge.XXXXXX)
+  local fargs="--input $IN --population 16 --generations 8
+    --checkpoint-every 1 --checkpoint-keep 8 --report-timing=false"
+  $sf $fargs --checkpoint "$dir/run.ckpt" > /dev/null
+  # Set gene 0 of the first unevaluated population individual of island 0
+  # (the next generation decodes it) to 65535 and recompute the CRC.
+  python3 - "$dir/run.ckpt.4" << 'EOF'
+import struct, sys, zlib
+path = sys.argv[1]
+b = bytearray(open(path, 'rb').read())
+size = struct.unpack_from('<Q', b, 12)[0]      # magic, version, size
+at = 20 + 28 + 8                  # container header, island 0's length
+L = struct.unpack_from('<Q', b, at + 8)[0]    # genome length
+at += 8 + 8 + 4 + 4 + 1 + 12 + 24 + 8 + 32   # up to has_best
+ind = 2 * L + 28                  # genes, three f64 and four flags
+at += 1 + (ind if b[at] else 0)
+count = struct.unpack_from('<Q', b, at)[0]
+at += 8
+slot = next(i for i in range(count) if not b[at + i * ind + 2 * L + 24])
+struct.pack_into('<H', b, at + slot * ind, 65535)
+struct.pack_into('<I', b, 20 + size, zlib.crc32(b[20:20 + size]))
+open(path, 'wb').write(b)
+EOF
+  $sf $fargs --resume "$dir/run.ckpt.4" > /dev/null 2> "$dir/err.txt" \
+    || code=$?
+  if [ "$code" != 1 ] || ! grep -q "cannot resume" "$dir/err.txt"; then
+    echo "ci: FAIL ($sf resumed a forged gene: exit $code, expected 1 with 'cannot resume')"
+    exit 1
+  fi
+  rm -rf "$dir"
+}
+forged_gene_leg "$SF"
 
 echo "== power-backend ablation gate =="
 # power_backends exits nonzero when a structural ordering (thermal >=
@@ -274,6 +336,9 @@ for in in $REGRESSION_INPUTS; do
   ./build-asan/examples/synthesize_file --input "$in" --dvs --audit \
     --population 8 --generations 3 > /dev/null
 done
+
+echo "== address-sanitizer forged checkpoint gene =="
+forged_gene_leg ./build-asan/examples/synthesize_file
 
 echo "== address-sanitizer power backends (thermal / dpm-idle) =="
 # The non-reference power paths (fixed-point thermal iteration, per-PE
