@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/run_control.hpp"
+#include "power/backends.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -57,6 +58,62 @@ TEST(Cosynth, TrajectoryMatchesRecordedGolden) {
     options.ga.max_generations = 30;
     options.islands = golden.islands;
     options.migration_interval = 5;
+    const SynthesisResult result = synthesize(system, options);
+    EXPECT_EQ(result.generations, golden.generations);
+    EXPECT_EQ(result.evaluations, golden.evaluations);
+    EXPECT_EQ(result.cache_hits, golden.cache_hits);
+    EXPECT_EQ(result.cache_lookups, golden.cache_lookups);
+    EXPECT_EQ(result.mode_cache_hits, golden.mode_cache_hits);
+    EXPECT_EQ(result.mode_cache_lookups, golden.mode_cache_lookups);
+    EXPECT_EQ(result.evaluation.avg_power_true, golden.avg_power_true);
+    ASSERT_EQ(result.mapping.modes.size(), golden_mapping.size());
+    for (std::size_t m = 0; m < golden_mapping.size(); ++m) {
+      std::vector<int> task_to_pe;
+      for (PeId pe : result.mapping.modes[m].task_to_pe)
+        task_to_pe.push_back(pe.value());
+      EXPECT_EQ(task_to_pe, golden_mapping[m]) << "mode " << m;
+    }
+  }
+}
+
+// The same pin with PV-DVS on. mul4's DVS GPP, ASIC and FPGA exercise the
+// Fig. 5 segments, so the DVS graph builder and the in-loop and final
+// PV-DVS runs all feed the recorded values; `dpm-idle` adds the DVS
+// idle-penalty path. micro_kernels compares PV-DVS with its frozen
+// reference only to 1e-6, so this is the bitwise pin across builds.
+struct DvsGoldenRun {
+  const char* power;
+  int generations;
+  long evaluations;
+  long cache_hits;
+  long cache_lookups;
+  long mode_cache_hits;
+  long mode_cache_lookups;
+  double avg_power_true;
+};
+
+TEST(Cosynth, DvsTrajectoryMatchesRecordedGolden) {
+  const System system = make_mul(4);
+  // Both runs end on the same mapping.
+  const std::vector<std::vector<int>> golden_mapping = {
+      {1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+      {1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1},
+      {2, 1, 2, 1, 1, 1, 0, 2, 1, 2, 1, 1, 1},
+      {2, 1, 1, 1, 1, 1, 0, 1, 2, 1, 2, 1, 1, 1, 1, 2, 0, 1, 0},
+      {2, 2, 1, 2, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0},
+  };
+  for (const DvsGoldenRun& golden :
+       {DvsGoldenRun{"paper", 30, 486, 160, 646, 1786, 2430,
+                     0x1.b96f9c3f1bf24p-8},
+        DvsGoldenRun{"dpm-idle", 30, 496, 149, 645, 1833, 2480,
+                     0x1.889383934e3aap-8}}) {
+    SCOPED_TRACE(std::string("power ") + golden.power);
+    SynthesisOptions options;
+    options.seed = 21;
+    options.ga.population_size = 24;
+    options.ga.max_generations = 30;
+    options.use_dvs = true;
+    options.power = resolve_power_backend(golden.power);
     const SynthesisResult result = synthesize(system, options);
     EXPECT_EQ(result.generations, golden.generations);
     EXPECT_EQ(result.evaluations, golden.evaluations);
