@@ -331,13 +331,59 @@ int main(int argc, char** argv) {
   // Core allocation: the fixture's mapping, then random genomes on the
   // generated ASIC+FPGA systems.
   bool identity_allocation = allocation_identical(f.system, f.mapping);
-  for (const System& system : allocation_systems()) {
+  const std::vector<System> generated = allocation_systems();
+  for (const System& system : generated) {
     const GenomeCodec codec(system);
     Rng rng(7);
     for (int i = 0; i < 1000 && identity_allocation; ++i)
       identity_allocation =
           allocation_identical(system, codec.decode(codec.random_genome(rng)));
   }
+
+  // DVS graphs beyond the fixture: every mode of the generated systems
+  // (about half their PEs draw DVS, so Fig. 5 segments appear) under
+  // random genomes, each scheduled by the library list scheduler. An
+  // unroutable schedule (the rewired system's unconnected PE) is skipped:
+  // its kUnroutablePenalty transfer stretches the cut tolerance past
+  // every task, which a validated (fully connected) system never does
+  // and the frozen reference, older than the short-task fix, cannot
+  // build.
+  long graphs_compared = 0;
+  long graphs_with_segments = 0;
+  long unroutable_skipped = 0;
+  for (const System& system : generated) {
+    const GenomeCodec codec(system);
+    Rng rng(11);
+    for (int i = 0; i < 200 && identity_graph; ++i) {
+      const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
+      const CoreAllocation cores = build_core_allocation(system, mapping);
+      for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
+        const Mode& mode = system.omsm.modes()[m];
+        const ModeSchedule schedule =
+            list_schedule({mode, mapping.modes[m], system.arch, system.tech,
+                           cores.per_mode[m]});
+        if (!schedule.routable) {
+          ++unroutable_skipped;
+          continue;
+        }
+        const DvsGraph g = build_dvs_graph(mode, schedule, mapping.modes[m],
+                                           system.arch, system.tech);
+        identity_graph =
+            identity_graph &&
+            graphs_identical(g, refk::ref_build_dvs_graph(
+                                    mode, schedule, mapping.modes[m],
+                                    system.arch, system.tech));
+        ++graphs_compared;
+        if (std::count(g.kind.begin(), g.kind.end(),
+                       static_cast<std::uint8_t>(DvsNodeKind::kSegment)) > 0)
+          ++graphs_with_segments;
+      }
+    }
+  }
+  // A sweep that compared nothing, or never built a segment, proves
+  // nothing about the Fig. 5 path.
+  identity_graph =
+      identity_graph && graphs_compared > 0 && graphs_with_segments > 0;
 
   // ---- Timings: each thunk sweeps all modes once. -----------------------
   std::vector<StageReport> stages;
@@ -458,6 +504,10 @@ int main(int argc, char** argv) {
   std::printf("  %-16s ref %10.0f ns   opt %10.0f ns   %5.2fx\n", "combined",
               combined_ref, combined_opt, combined_speedup);
   print_stage(stdout, allocation);
+  std::printf("  %-16s %ld generated-system graphs compared, %ld with "
+              "segments (%ld unroutable skipped)\n",
+              "dvs_graph", graphs_compared, graphs_with_segments,
+              unroutable_skipped);
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate", eval_ns);
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate_dvs",
               eval_dvs_ns);
