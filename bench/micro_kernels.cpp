@@ -348,13 +348,14 @@ int main(int argc, char** argv) {
   // every task, which a validated (fully connected) system never does
   // and the frozen reference, older than the short-task fix, cannot
   // build.
+  bool identity_generated_graphs = true;
   long graphs_compared = 0;
   long graphs_with_segments = 0;
   long unroutable_skipped = 0;
   for (const System& system : generated) {
     const GenomeCodec codec(system);
     Rng rng(11);
-    for (int i = 0; i < 200 && identity_graph; ++i) {
+    for (int i = 0; i < 200 && identity_generated_graphs; ++i) {
       const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
       const CoreAllocation cores = build_core_allocation(system, mapping);
       for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
@@ -368,8 +369,8 @@ int main(int argc, char** argv) {
         }
         const DvsGraph g = build_dvs_graph(mode, schedule, mapping.modes[m],
                                            system.arch, system.tech);
-        identity_graph =
-            identity_graph &&
+        identity_generated_graphs =
+            identity_generated_graphs &&
             graphs_identical(g, refk::ref_build_dvs_graph(
                                     mode, schedule, mapping.modes[m],
                                     system.arch, system.tech));
@@ -382,8 +383,9 @@ int main(int argc, char** argv) {
   }
   // A sweep that compared nothing, or never built a segment, proves
   // nothing about the Fig. 5 path.
-  identity_graph =
-      identity_graph && graphs_compared > 0 && graphs_with_segments > 0;
+  identity_generated_graphs = identity_generated_graphs &&
+                              graphs_compared > 0 && graphs_with_segments > 0;
+  identity_graph = identity_graph && identity_generated_graphs;
 
   // ---- Timings: each thunk sweeps all modes once. -----------------------
   std::vector<StageReport> stages;
@@ -504,10 +506,11 @@ int main(int argc, char** argv) {
   std::printf("  %-16s ref %10.0f ns   opt %10.0f ns   %5.2fx\n", "combined",
               combined_ref, combined_opt, combined_speedup);
   print_stage(stdout, allocation);
-  std::printf("  %-16s %ld generated-system graphs compared, %ld with "
-              "segments (%ld unroutable skipped)\n",
+  std::printf("  %-16s %ld generated-system graphs, %ld with segments, "
+              "%ld unroutable skipped   %s\n",
               "dvs_graph", graphs_compared, graphs_with_segments,
-              unroutable_skipped);
+              unroutable_skipped,
+              identity_generated_graphs ? "match" : "MISMATCH");
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate", eval_ns);
   std::printf("  %-16s                  opt %10.0f ns\n", "evaluate_dvs",
               eval_dvs_ns);
