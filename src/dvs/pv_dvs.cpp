@@ -1,17 +1,21 @@
 // PV-DVS on the columnar DVS graph (DESIGN.md §12).
 //
 // Two data-oriented changes relative to the frozen baseline
-// (bench/reference_kernels.cpp), both provably value-preserving:
+// (bench/reference_kernels.cpp), both value-preserving:
 //
-//  - all scratch (ef/lf, descent cache, topo positions, dirty flags) lives
-//    in a thread-local bump arena reset per call;
-//  - the forward/backward critical-path passes are *incremental*: after a
-//    greedy step extends node b, only the nodes whose earliest-finish or
-//    latest-finish values actually change are recomputed (dirty-flag
-//    propagation along the topological order). Earliest/latest finishes
-//    are pure max/min functions of the durations, so recomputing exactly
-//    the changed subset yields bit-identical doubles to a full pass — the
-//    micro-kernel bit-compare enforces this.
+//  - all scratch (ef/lf, descent cache, topo positions) lives in a
+//    thread-local bump arena reset per call;
+//  - after a greedy step lengthens node b at topological position pb,
+//    only the ranges the step can reach are recomputed: earliest finishes
+//    over positions [pb, n) and latest finishes over [0, pb). ef[u] is the
+//    max over its predecessors plus t[u] and lf[u] the min of its
+//    deadline and lf[s] - t[s] over its successors, and only t[b] changed,
+//    so every value outside those ranges is already what a full pass
+//    would compute; inside them, a node whose operands did not move
+//    recomputes to the same double. The same two range passes run the
+//    initial full passes, so the result is bit-identical to full
+//    re-propagation after every step (the DVS golden in
+//    tests/core/cosynth_test.cpp pins it).
 #include "dvs/pv_dvs.hpp"
 
 #include <algorithm>
@@ -80,10 +84,13 @@ Arena& dvs_arena() {
   return arena;
 }
 
-/// Full forward pass: earliest finish times under current durations.
-void forward_pass_full(const DvsGraph& g, const double* t, double* ef) {
-  for (std::int32_t u : g.topo) {
-    const auto ui = static_cast<std::size_t>(u);
+/// Earliest finish times of the nodes at topological positions
+/// [begin, end) under the current durations; their predecessors sit at
+/// earlier positions.
+void forward_pass(const DvsGraph& g, const double* t, double* ef,
+                  std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto ui = static_cast<std::size_t>(g.topo[i]);
     double start = 0.0;
     for (std::int32_t p : g.preds(ui))
       start = std::max(start, ef[static_cast<std::size_t>(p)]);
@@ -91,76 +98,19 @@ void forward_pass_full(const DvsGraph& g, const double* t, double* ef) {
   }
 }
 
-/// Full backward pass: latest allowed finish times under current durations.
-void backward_pass_full(const DvsGraph& g, const double* t, double* lf) {
-  for (auto it = g.topo.rbegin(); it != g.topo.rend(); ++it) {
-    const auto ui = static_cast<std::size_t>(*it);
+/// Latest allowed finish times of the nodes at topological positions
+/// [begin, end), walked in reverse; their successors sit at later
+/// positions.
+void backward_pass(const DvsGraph& g, const double* t, double* lf,
+                   std::size_t begin, std::size_t end) {
+  for (std::size_t i = end; i-- > begin;) {
+    const auto ui = static_cast<std::size_t>(g.topo[i]);
     double limit = g.deadline[ui];
     for (std::int32_t s : g.succs(ui)) {
       const auto si = static_cast<std::size_t>(s);
       limit = std::min(limit, lf[si] - t[si]);
     }
     lf[ui] = limit;
-  }
-}
-
-/// Incremental re-propagation after t[b] changed: recomputes exactly the
-/// ef/lf entries the change reaches. `pos` maps node -> topo position;
-/// `fwd_dirty`/`bwd_dirty` are zeroed scratch flags (left zeroed again on
-/// return).
-void incremental_passes(const DvsGraph& g, const double* t, std::size_t b,
-                        const std::int32_t* pos, double* ef, double* lf,
-                        std::uint8_t* fwd_dirty, std::uint8_t* bwd_dirty) {
-  const std::size_t n = g.node_count();
-  const auto pb = static_cast<std::size_t>(pos[b]);
-
-  // Forward: ef[b] changes (its duration did); propagate to successors
-  // only while recomputed values actually differ.
-  fwd_dirty[b] = 1;
-  std::size_t pending = 1;
-  for (std::size_t i = pb; i < n && pending > 0; ++i) {
-    const auto u = static_cast<std::size_t>(g.topo[i]);
-    if (!fwd_dirty[u]) continue;
-    fwd_dirty[u] = 0;
-    --pending;
-    double start = 0.0;
-    for (std::int32_t p : g.preds(u))
-      start = std::max(start, ef[static_cast<std::size_t>(p)]);
-    const double value = start + t[u];
-    if (value != ef[u]) {
-      ef[u] = value;
-      for (std::int32_t s : g.succs(u)) {
-        const auto si = static_cast<std::size_t>(s);
-        if (!fwd_dirty[si]) fwd_dirty[si] = 1, ++pending;
-      }
-    }
-  }
-
-  // Backward: lf[b] itself is unchanged (its successors are), but the
-  // slack term (lf[b] - t[b]) its predecessors consume did change — seed
-  // them and walk the prefix of the topological order in reverse.
-  pending = 0;
-  for (std::int32_t p : g.preds(b)) {
-    const auto pi = static_cast<std::size_t>(p);
-    if (!bwd_dirty[pi]) bwd_dirty[pi] = 1, ++pending;
-  }
-  for (std::size_t i = pb; i-- > 0 && pending > 0;) {
-    const auto u = static_cast<std::size_t>(g.topo[i]);
-    if (!bwd_dirty[u]) continue;
-    bwd_dirty[u] = 0;
-    --pending;
-    double limit = g.deadline[u];
-    for (std::int32_t s : g.succs(u)) {
-      const auto si = static_cast<std::size_t>(s);
-      limit = std::min(limit, lf[si] - t[si]);
-    }
-    if (limit != lf[u]) {
-      lf[u] = limit;  // t[u] unchanged, so (lf[u] - t[u]) changed too
-      for (std::int32_t p : g.preds(u)) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (!bwd_dirty[pi]) bwd_dirty[pi] = 1, ++pending;
-      }
-    }
   }
 }
 
@@ -233,15 +183,13 @@ PvDvsResult run_pv_dvs(const DvsGraph& g, const Architecture& arch,
     for (std::size_t k = 0; k < scalable_count; ++k)
       refresh_descent(static_cast<std::size_t>(scalable[k]));
 
-    // Topo positions and dirty flags for the incremental passes.
+    // Topo position of each node: where a step's re-propagation starts.
     std::int32_t* pos = arena.alloc<std::int32_t>(n);
     for (std::size_t i = 0; i < n; ++i)
       pos[static_cast<std::size_t>(g.topo[i])] = static_cast<std::int32_t>(i);
-    std::uint8_t* fwd_dirty = arena.alloc_filled<std::uint8_t>(n, 0);
-    std::uint8_t* bwd_dirty = arena.alloc_filled<std::uint8_t>(n, 0);
 
-    forward_pass_full(g, t, ef);
-    backward_pass_full(g, t, lf);
+    forward_pass(g, t, ef, 0, n);
+    backward_pass(g, t, lf, 0, n);
 
     for (int iter = 0; iter < max_iterations; ++iter) {
       double best_gain = 0.0;
@@ -270,14 +218,16 @@ PvDvsResult run_pv_dvs(const DvsGraph& g, const Architecture& arch,
       const auto bi = static_cast<std::size_t>(best_node);
       t[bi] += best_step;
       refresh_descent(bi);
-      incremental_passes(g, t, bi, pos, ef, lf, fwd_dirty, bwd_dirty);
+      const auto pb = static_cast<std::size_t>(pos[bi]);
+      forward_pass(g, t, ef, pb, n);
+      backward_pass(g, t, lf, 0, pb);
     }
   } else {
-    forward_pass_full(g, t, ef);
+    forward_pass(g, t, ef, 0, n);
   }
 
-  // Final timing check and energy accounting. ef is maintained exactly by
-  // the incremental passes, so no closing full pass is needed.
+  // Final timing check and energy accounting. ef is kept exact by the
+  // ranged passes, so no closing full pass is needed.
   result.deadlines_met = true;
   for (std::size_t i = 0; i < n; ++i) {
     if (ef[i] > g.deadline[i] * (1.0 + 1e-9) + 1e-12)
