@@ -20,6 +20,10 @@
 # the good save #3. The resume must skip the hole and the corruption and
 # fall back to .2 — exercised with one more transient read fault armed.
 #
+# Last stage: a persistent pooled fault (pool.task=fail@3+, every retry
+# fails) must end the run with exit 1 and a message naming pool.task, at
+# one thread and at two — never death by a signal.
+#
 # Usage: crash_torture.sh [path-to-synthesize_file]
 set -euo pipefail
 
@@ -94,11 +98,26 @@ if ! grep -q 'resumed from older generation .*run\.ckpt\.2' "$WORK/recovered.err
   exit 1
 fi
 
-if diff -u "$WORK/reference.txt" "$WORK/recovered.txt"; then
-  echo "crash_torture: PASS — recovered report is byte-identical to the" \
-       "fault-free run"
-else
+if ! diff -u "$WORK/reference.txt" "$WORK/recovered.txt"; then
   echo "crash_torture: FAIL — recovered report differs from the fault-free" \
        "run" >&2
   exit 1
 fi
+echo "crash_torture: recovered report is byte-identical to the fault-free run"
+
+# A fault no retry heals is a clean error exit, not an abort.
+for threads in 1 2; do
+  set +e
+  "$BIN" --input "$WORK/sys.mmsyn" "${FLAGS[@]}" --threads "$threads" \
+    --failpoints 'pool.task=fail@3+' > /dev/null 2> "$WORK/persistent.err"
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 1 ] || ! grep -q 'pool\.task' "$WORK/persistent.err"; then
+    echo "crash_torture: FAIL — persistent pool.task fault at --threads" \
+         "$threads exited $STATUS, expected 1 naming pool.task" >&2
+    cat "$WORK/persistent.err" >&2
+    exit 1
+  fi
+done
+echo "crash_torture: PASS — recovered report byte-identical; persistent" \
+     "pooled fault exits 1 at 1 and 2 threads"

@@ -13,6 +13,9 @@
 // Ctrl-C / --time-budget expiry; --resume continues a checkpointed run
 // bit-identically to an uninterrupted one with the same flags. An early
 // stop still reports the best implementation found so far (exit code 3).
+// A pooled work item that fails on every retry (a persistent injected
+// `pool.task` fault) ends the run with "synthesis failed: ... (retries
+// exhausted)" on stderr and exit code 1, as a refused --resume does.
 #include <cstdio>
 #include <limits>
 
@@ -304,6 +307,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "The checkpoint must come from the same system file, "
                    "--seed and GA options as this invocation.\n");
+      return 1;
+    } catch (const TransientFault& e) {
+      std::fprintf(stderr, "synthesis failed: %s (retries exhausted)\n",
+                   e.what());
       return 1;
     }
     if (result.partial)
