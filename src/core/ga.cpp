@@ -902,12 +902,13 @@ void MappingGa::finish_loop(LoopState& st, RunControl* control) {
 }
 
 SynthesisResult MappingGa::harvest(const LoopState& st) {
-  // Assemble the result from the best individual seen.
+  // Assemble the result from the best individual seen. It is not priced
+  // here: the caller owns the reported evaluation (synthesize() runs the
+  // final fine-DVS one).
   SynthesisResult result;
   static_cast<GaCounters&>(result) = counters();
   result.mapping = codec_.decode(st.best.genome);
   result.cores = build_core_allocation(system_, result.mapping, alloc_options_);
-  result.evaluation = evaluator_.evaluate(result.mapping, result.cores);
   result.fitness = st.best.score.fitness;
   result.generations = st.generation;
   result.elapsed_seconds = loop_elapsed(st);

@@ -309,8 +309,9 @@ public:
   /// batches.
   void finish_loop(LoopState& st, RunControl* control = nullptr);
 
-  /// Assembles the SynthesisResult (decode + final loop-evaluator pricing
-  /// of the best individual, plus every counter).
+  /// Assembles the SynthesisResult: the best individual's mapping, cores
+  /// and fitness plus every counter. `evaluation` stays empty; the caller
+  /// prices the champion (synthesize() with the final fine-DVS settings).
   [[nodiscard]] SynthesisResult harvest(const LoopState& st);
 
   /// Total elapsed wall-clock seconds of this loop, spanning resumes.

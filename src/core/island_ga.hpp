@@ -72,9 +72,11 @@ public:
   /// cancellation checks at generation boundaries and the checkpoints
   /// (see core/run_control.hpp); a controlled stop returns the best
   /// individual found so far, flagged `partial`. The result is the
-  /// champion island's, with evaluation/cache counters summed across
-  /// islands, `generations` the maximum over islands, and
-  /// `elapsed_seconds` the wall clock of the whole sharded run.
+  /// champion island's mapping, cores and fitness, with evaluation/cache
+  /// counters summed across islands, `generations` the maximum over
+  /// islands, and `elapsed_seconds` the wall clock of the whole sharded
+  /// run. `evaluation` is left empty: synthesize() prices the champion
+  /// with the final evaluator, and other callers price it themselves.
   [[nodiscard]] SynthesisResult run(
       const std::function<void(const GaProgress&)>& observer = {},
       RunControl* control = nullptr);

@@ -20,13 +20,17 @@ GaOptions fast_ga() {
   return options;
 }
 
-/// Runs fast_ga() as a single population (a one-island driver).
+/// Runs fast_ga() as a single population (a one-island driver) and
+/// prices the champion with `evaluator`; IslandGa::run leaves that to its
+/// caller.
 SynthesisResult run_ga(const System& system, const Evaluator& evaluator,
                        std::uint64_t seed,
                        const std::function<void(const GaProgress&)>&
                            observer = {}) {
   IslandGa ga(system, evaluator, {}, {}, fast_ga(), IslandOptions{}, seed);
-  return ga.run(observer);
+  SynthesisResult result = ga.run(observer);
+  result.evaluation = evaluator.evaluate(result.mapping, result.cores);
+  return result;
 }
 
 TEST(MappingGa, FindsExampleOneOptimumWithProbabilities) {
