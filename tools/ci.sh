@@ -386,6 +386,13 @@ echo "== thread-sanitizer island run =="
 ./build-tsan/examples/synthesize_file --input "$IN" $ARGS \
   --islands 3 --migration-interval 5 --migrants 2 --threads 3 > /dev/null
 
+echo "== thread-sanitizer DVS run =="
+# Pool threads build DVS graphs and run PV-DVS, each in its own
+# thread-local scratch arena; no other TSan leg scales voltages at more
+# than one thread.
+./build-tsan/examples/synthesize_file --input "$IN" $ARGS --dvs --threads 3 \
+  > /dev/null
+
 echo "== thread-sanitizer server run =="
 # The job server is the other thread-heavy subsystem: workers, watchdog,
 # acceptor and per-connection threads all share the job table under one
