@@ -105,7 +105,8 @@ if ! diff -u "$WORK/reference.txt" "$WORK/recovered.txt"; then
 fi
 echo "crash_torture: recovered report is byte-identical to the fault-free run"
 
-# A fault no retry heals is a clean error exit, not an abort.
+# A fault no retry heals is a clean error exit, not an abort. The later
+# --threads overrides the one in FLAGS.
 for threads in 1 2; do
   set +e
   "$BIN" --input "$WORK/sys.mmsyn" "${FLAGS[@]}" --threads "$threads" \

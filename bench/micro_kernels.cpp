@@ -16,7 +16,11 @@
 // three generated ASIC+FPGA systems (one rewired so that its CLs differ in
 // speed, a CL lists a PE twice and one PE has no CL), with parallel-core
 // allocation on and off. Its timing is a row of its own, outside
-// `combined`, so the committed baseline keeps its meaning.
+// `combined`, so the committed baseline keeps its meaning. The DVS graph
+// is bit-compared on those systems too: every routable mode under 200
+// random genomes each, scheduled by the library list scheduler; the
+// `dvs_graph` row reports how many graphs were compared and how many
+// held Fig. 5 segments, and either count at zero is a failure.
 //
 // Usage:
 //   micro_kernels [--mul N] [--repeats N] [--json PATH] [--min-speedup X]
