@@ -2,11 +2,13 @@
 // the per-mode evaluation cache (GaOptions::memoize_mode_evaluations) on
 // the mul suite, with an in-bench bitwise-identity check — the cached and
 // the cache-disabled run must produce byte-identical reports, or the
-// bench exits nonzero.
+// bench exits nonzero. By default every instance runs under both DVS
+// backends (`none`, then `pv-dvs`); `--dvs=<backend>` runs one.
 //
 //   incremental_eval [--muls 4,8,12] [--population 64] [--generations 80]
-//                    [--seed 1] [--threads 1] [--dvs] [--min-speedup 0]
-//                    [--scheduler bottom-level] [--profile] [--json PATH]
+//                    [--seed 1] [--threads 1] [--dvs[=none|pv-dvs|both]]
+//                    [--min-speedup 0] [--scheduler bottom-level]
+//                    [--profile] [--json PATH]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -35,19 +37,28 @@ std::vector<int> parse_muls(const std::string& csv) {
   return muls;
 }
 
+struct InstanceRow {
+  int mul;
+  double cold_s, cached_s, speedup, hit_rate;
+  bool identical;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kBoth = "both";
+  std::vector<std::string> dvs_choices = backend_names(dvs_backends());
+  dvs_choices.emplace_back(kBoth);
   Flags flags;
   flags.define_string("muls", "4,8,12", "comma-separated mul suite sizes");
   flags.define_int("population", 64, "GA population size");
   flags.define_int("generations", 80, "GA generations (fixed, no early stop)");
   flags.define_int("seed", 1, "GA seed");
   flags.define_int("threads", 1, "fitness-evaluation threads");
-  flags.define_choice("dvs", backend_names(dvs_backends()),
-                      /*default_value=*/dvs_backend_name(false),
+  flags.define_choice("dvs", dvs_choices, /*default_value=*/kBoth,
                       /*implicit_value=*/dvs_backend_name(true),
-                      "voltage-scaling backend (bare --dvs = " +
+                      "voltage-scaling backend, or both in turn (bare "
+                      "--dvs = " +
                           std::string(dvs_backend_name(true)) + ")");
   flags.define_choice("scheduler", backend_names(scheduler_backends()),
                       /*default_value=*/scheduler_backends().front().name,
@@ -64,8 +75,15 @@ int main(int argc, char** argv) {
 
   SynthesisOptions base;
   PipelineProfiler profiler;
+  std::vector<bool> backends;  // use_dvs per backend run
   try {
-    base.use_dvs = resolve_dvs_backend(flags.get_string("dvs"));
+    const std::string& dvs = flags.get_string("dvs");
+    if (dvs == kBoth) {
+      for (const DvsBackendInfo& info : dvs_backends())
+        backends.push_back(info.use_dvs);
+    } else {
+      backends.push_back(resolve_dvs_backend(dvs));
+    }
     base.scheduling_policy =
         resolve_scheduler_backend(flags.get_string("scheduler"));
   } catch (const std::invalid_argument& e) {
@@ -82,64 +100,66 @@ int main(int argc, char** argv) {
   ReportOptions report;
   report.include_timing = false;
 
-  TextTable table;
-  table.set_header({"instance", "cold(s)", "cached(s)", "speedup",
-                    "hit rate", "identical"});
   bool all_identical = true;
   double best_speedup = 0.0;
   long total_eval_hits = 0, total_eval_lookups = 0;
-  struct InstanceRow {
-    int mul;
-    double cold_s, cached_s, speedup, hit_rate;
-    bool identical;
-  };
-  std::vector<InstanceRow> rows;
-  for (const int mul : parse_muls(flags.get_string("muls"))) {
-    const System system = make_mul(mul);
+  std::vector<std::vector<InstanceRow>> runs;  // per backend
+  for (const bool use_dvs : backends) {
+    base.use_dvs = use_dvs;
+    TextTable table;
+    table.set_header({"instance", "cold(s)", "cached(s)", "speedup",
+                      "hit rate", "identical"});
+    std::vector<InstanceRow>& rows = runs.emplace_back();
+    for (const int mul : parse_muls(flags.get_string("muls"))) {
+      const System system = make_mul(mul);
 
-    SynthesisOptions options = base;
-    options.ga.memoize_mode_evaluations = false;
-    const SynthesisResult cold = synthesize(system, options);
-    options.ga.memoize_mode_evaluations = true;
-    // Only the cached runs are profiled: the cold leg would double every
-    // stage count without adding information (profiling never changes
-    // results, so attaching it here cannot break the identity check).
-    if (flags.get_bool("profile")) options.profiler = &profiler;
-    const SynthesisResult cached = synthesize(system, options);
-    options.profiler = nullptr;
+      SynthesisOptions options = base;
+      options.ga.memoize_mode_evaluations = false;
+      const SynthesisResult cold = synthesize(system, options);
+      options.ga.memoize_mode_evaluations = true;
+      // Only the cached runs are profiled: the cold leg would double every
+      // stage count without adding information (profiling never changes
+      // results, so attaching it here cannot break the identity check).
+      if (flags.get_bool("profile")) options.profiler = &profiler;
+      const SynthesisResult cached = synthesize(system, options);
+      options.profiler = nullptr;
 
-    // Bitwise identity: the cache may only change the wall clock. The
-    // rendered report covers the mapping, allocation, powers and fitness.
-    const bool identical =
-        implementation_report(system, cold, report) ==
-            implementation_report(system, cached, report) &&
-        cold.fitness == cached.fitness &&
-        cold.evaluations == cached.evaluations &&
-        cold.evaluation.avg_power_true == cached.evaluation.avg_power_true;
-    all_identical = all_identical && identical;
+      // Bitwise identity: the cache may only change the wall clock. The
+      // rendered report covers the mapping, allocation, powers and fitness.
+      const bool identical =
+          implementation_report(system, cold, report) ==
+              implementation_report(system, cached, report) &&
+          cold.fitness == cached.fitness &&
+          cold.evaluations == cached.evaluations &&
+          cold.evaluation.avg_power_true == cached.evaluation.avg_power_true;
+      all_identical = all_identical && identical;
 
-    const double speedup = cached.elapsed_seconds > 0.0
-                               ? cold.elapsed_seconds / cached.elapsed_seconds
-                               : 0.0;
-    best_speedup = std::max(best_speedup, speedup);
-    const double hit_rate =
-        cached.mode_cache_lookups > 0
-            ? static_cast<double>(cached.mode_cache_hits) /
-                  static_cast<double>(cached.mode_cache_lookups)
-            : 0.0;
-    total_eval_hits += cached.mode_cache_hits;
-    total_eval_lookups += cached.mode_cache_lookups;
-    rows.push_back({mul, cold.elapsed_seconds, cached.elapsed_seconds,
-                    speedup, hit_rate, identical});
-    table.add_row({"mul" + std::to_string(mul),
-                   TextTable::num(cold.elapsed_seconds, 2),
-                   TextTable::num(cached.elapsed_seconds, 2),
-                   TextTable::num(speedup, 2),
-                   TextTable::num(100.0 * hit_rate, 1) + "%",
-                   identical ? "yes" : "NO"});
+      const double speedup =
+          cached.elapsed_seconds > 0.0
+              ? cold.elapsed_seconds / cached.elapsed_seconds
+              : 0.0;
+      best_speedup = std::max(best_speedup, speedup);
+      const double hit_rate =
+          cached.mode_cache_lookups > 0
+              ? static_cast<double>(cached.mode_cache_hits) /
+                    static_cast<double>(cached.mode_cache_lookups)
+              : 0.0;
+      total_eval_hits += cached.mode_cache_hits;
+      total_eval_lookups += cached.mode_cache_lookups;
+      rows.push_back({mul, cold.elapsed_seconds, cached.elapsed_seconds,
+                      speedup, hit_rate, identical});
+      table.add_row({"mul" + std::to_string(mul),
+                     TextTable::num(cold.elapsed_seconds, 2),
+                     TextTable::num(cached.elapsed_seconds, 2),
+                     TextTable::num(speedup, 2),
+                     TextTable::num(100.0 * hit_rate, 1) + "%",
+                     identical ? "yes" : "NO"});
+    }
+    table.print(std::cout,
+                std::string("per-mode incremental evaluation (cold vs cached "
+                            "GA run), --dvs=") +
+                    dvs_backend_name(use_dvs));
   }
-  table.print(std::cout,
-              "per-mode incremental evaluation (cold vs cached GA run)");
   if (flags.get_bool("profile"))
     std::cout << profiler.table(total_eval_hits, total_eval_lookups);
 
@@ -149,15 +169,19 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"incremental_eval\",\n"
         << "  \"population\": " << flags.get_int("population") << ",\n"
         << "  \"generations\": " << flags.get_int("generations") << ",\n"
-        << "  \"instances\": {\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const InstanceRow& r = rows[i];
-      out << "    \"mul" << r.mul << "\": {\"cold_s\": " << r.cold_s
-          << ", \"cached_s\": " << r.cached_s
-          << ", \"speedup\": " << r.speedup
-          << ", \"hit_rate\": " << r.hit_rate << ", \"identical\": "
-          << (r.identical ? "true" : "false") << "}"
-          << (i + 1 < rows.size() ? "," : "") << "\n";
+        << "  \"backends\": {\n";
+    for (std::size_t b = 0; b < runs.size(); ++b) {
+      out << "    \"" << dvs_backend_name(backends[b]) << "\": {\n";
+      for (std::size_t i = 0; i < runs[b].size(); ++i) {
+        const InstanceRow& r = runs[b][i];
+        out << "      \"mul" << r.mul << "\": {\"cold_s\": " << r.cold_s
+            << ", \"cached_s\": " << r.cached_s
+            << ", \"speedup\": " << r.speedup
+            << ", \"hit_rate\": " << r.hit_rate << ", \"identical\": "
+            << (r.identical ? "true" : "false") << "}"
+            << (i + 1 < runs[b].size() ? "," : "") << "\n";
+      }
+      out << "    }" << (b + 1 < runs.size() ? "," : "") << "\n";
     }
     out << "  },\n"
         << "  \"best_speedup\": " << best_speedup << ",\n"

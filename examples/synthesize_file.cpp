@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
                    "elite individuals exchanged per island per barrier "
                    "(ignored with --islands=1)");
   flags.define_int("mode-cache-capacity", 1 << 16,
-                   "per-mode evaluation cache entry cap, FIFO eviction "
-                   "(0 = unbounded)");
+                   "entry cap of both per-mode tables: the evaluation "
+                   "cache (FIFO eviction) and the core-demand slice table "
+                   "(cleared when full); 0 = unbounded");
   flags.define_double("time-budget", 0.0,
                       "wall-clock budget in seconds (0 = unlimited); on "
                       "expiry the best-so-far result is reported");

@@ -326,8 +326,9 @@ AuditReport audit_result(const System& system, const SynthesisResult& result,
     }
 
     // Voltage-schedule replay: levels within the validated set, and the
-    // Fig. 5 serialization transform conserves time and energy.
-    if (options.use_dvs) {
+    // Fig. 5 serialization transform conserves time and energy. An
+    // unroutable mode was priced at nominal voltage (no Fig. 5 graph).
+    if (options.use_dvs && schedule.routable) {
       const DvsGraph graph = build_dvs_graph(mode, schedule, mapping, arch,
                                              tech, options.dvs.scale_hardware);
       const PvDvsResult dvs = run_pv_dvs(graph, arch, options.dvs);

@@ -39,4 +39,14 @@ private:
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
+/// One step of the in-memory bucket hashes (ModeEvalKeyHash, the GA's
+/// slice table): a multiply–xorshift fold of a whole word into `h`.
+/// Never persisted, so it may change freely; a collision costs a key
+/// compare, never a result.
+[[nodiscard]] constexpr std::uint64_t mix_word(std::uint64_t h,
+                                               std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 32);
+}
+
 }  // namespace mmsyn

@@ -1,16 +1,17 @@
 #include "core/allocation_builder.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "model/system.hpp"
 #include "sched/mobility.hpp"
 
 namespace mmsyn {
 namespace {
-
-constexpr std::size_t kSoftware = static_cast<std::size_t>(-1);
 
 /// Maximum number of simultaneously running windows, given as (time, +1)
 /// start and (time, -1) end events. Sorts `events` in place.
@@ -29,39 +30,37 @@ int max_concurrency(std::vector<std::pair<double, int>>& events) {
   return best;
 }
 
-/// The core set of hardware PE `pe` for a per-type demand row (`desired[t]`
-/// cores of type t, 0 = none wanted): one core per wanted type, then greedy
-/// extra cores until every demand is met or `capacity` is exhausted.
-CoreSet allocate_cores(std::span<const int> desired, const TechLibrary& tech,
-                       PeId pe, double capacity) {
+/// The core set of hardware PE `pe` for its groups `want` (ascending by
+/// type): one core per group, then greedy extra cores until every demand
+/// is met or `capacity` is exhausted.
+CoreSet allocate_cores(std::span<const CoreGroup> want,
+                       const TechLibrary& tech, PeId pe, double capacity) {
   CoreSet set;
-  for (std::size_t t = 0; t < desired.size(); ++t)
-    if (desired[t] > 0)
-      set.set_count(TaskTypeId{static_cast<TaskTypeId::value_type>(t)}, 1);
+  for (const CoreGroup& g : want) set.set_count(g.type, 1);
   double used = set.area(tech, pe);
   bool progress = true;
   while (progress) {
     progress = false;
     // Pick the type with the largest remaining deficit whose extra core
     // still fits; ties resolved toward the smaller core, then the lower
-    // type id. The set holds exactly the wanted types, ascending.
-    TaskTypeId best_type;
+    // type id. The set holds exactly the wanted types, in `want`'s order.
+    std::size_t best = 0;
     int best_deficit = 0;
     double best_area = 0.0;
-    for (const auto& [type, count] : set.entries()) {
-      const int deficit = desired[type.index()] - count;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const int deficit = want[i].cores - set.entries()[i].second;
       if (deficit <= 0) continue;
-      const double area = tech.require(type, pe).area;
+      const double area = tech.require(want[i].type, pe).area;
       if (used + area > capacity) continue;
       if (deficit > best_deficit ||
           (deficit == best_deficit && area < best_area)) {
-        best_type = type;
+        best = i;
         best_deficit = deficit;
         best_area = area;
       }
     }
     if (best_deficit > 0) {
-      set.add_core(best_type);
+      set.add_core(want[best].type);
       used += best_area;
       progress = true;
     }
@@ -69,98 +68,143 @@ CoreSet allocate_cores(std::span<const int> desired, const TechLibrary& tech,
   return set;
 }
 
+/// Calls `fn(pe, run)` for each run of `groups` (ascending by PE) on one
+/// PE.
+template <class Fn>
+void for_each_pe(std::span<const CoreGroup> groups, Fn&& fn) {
+  for (std::size_t b = 0; b < groups.size();) {
+    std::size_t e = b + 1;
+    while (e < groups.size() && groups[e].pe == groups[b].pe) ++e;
+    fn(groups[b].pe, groups.subspan(b, e - b));
+    b = e;
+  }
+}
+
 }  // namespace
+
+ModeCoreDemand mode_core_demand(const System& system, std::size_t m,
+                                const ModeMapping& slice,
+                                const AllocationOptions& options) {
+  // One run of `tasks` per hardware group, ascending task ids inside.
+  const std::vector<HardwareTask> tasks = hardware_tasks(system, m, slice);
+  const auto same_group = [&](std::size_t a, std::size_t b) {
+    return tasks[a].pe == tasks[b].pe && tasks[a].type == tasks[b].type;
+  };
+  ModeCoreDemand demand;
+  bool shared = false;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (i > 0 && same_group(i - 1, i)) {
+      shared = true;
+      continue;
+    }
+    demand.push_back({tasks[i].pe, tasks[i].type});
+  }
+  if (!options.allocate_parallel_cores || !shared) return demand;
+
+  // Fig. 4 line 04. Extra cores pay off only for tasks of one group that
+  // can actually overlap and are urgent (low mobility), so only a mode
+  // with a shared group needs its mobility.
+  const Mode& mode =
+      system.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)});
+  const MobilityInfo mob =
+      compute_mobility(mode, slice, system.arch, system.tech);
+  const double mobility_cap = options.mobility_threshold * mode.period;
+  std::vector<std::pair<double, int>> events;
+  for (std::size_t b = 0, g = 0; b < tasks.size(); ++g) {
+    std::size_t e = b + 1;
+    while (e < tasks.size() && same_group(b, e)) ++e;
+    if (e - b > 1) {
+      events.clear();
+      for (std::size_t i = b; i < e; ++i) {
+        const std::size_t t = tasks[i].task.index();
+        if (mob.mobility[t] > mobility_cap) continue;
+        events.emplace_back(mob.asap_start[t], +1);
+        events.emplace_back(mob.asap_start[t] + mob.exec_time[t], -1);
+      }
+      demand[g].cores = std::max(1, max_concurrency(events));
+    }
+    b = e;
+  }
+  return demand;
+}
+
+CoreAllocation assemble_core_allocation(
+    const System& system, std::span<const std::span<const CoreGroup>> demands) {
+  const Architecture& arch = system.arch;
+  const TechLibrary& tech = system.tech;
+  CoreAllocation alloc;
+  alloc.per_mode.assign(demands.size(), std::vector<CoreSet>(arch.pe_count()));
+
+  // FPGAs are reconfigurable: one set per mode. ASIC groups are collected
+  // across the modes for the static silicon below.
+  std::vector<CoreGroup> asic;
+  std::size_t groups = 0;
+  for (const std::span<const CoreGroup> demand : demands)
+    groups += demand.size();
+  asic.reserve(groups);
+  for (std::size_t m = 0; m < demands.size(); ++m)
+    for_each_pe(demands[m], [&](PeId p, std::span<const CoreGroup> run) {
+      const Pe& pe = arch.pe(p);
+      if (pe.kind == PeKind::kAsic)
+        asic.insert(asic.end(), run.begin(), run.end());
+      else if (pe.kind == PeKind::kFpga)
+        alloc.per_mode[m][p.index()] =
+            allocate_cores(run, tech, p, pe.area_capacity);
+    });
+
+  // Static silicon: one set for all modes, from the per-type max demand.
+  std::sort(asic.begin(), asic.end(),
+            [](const CoreGroup& a, const CoreGroup& b) {
+              // By (pe, type), largest demand first: unique keeps the max.
+              if (a.pe != b.pe) return a.pe < b.pe;
+              if (a.type != b.type) return a.type < b.type;
+              return a.cores > b.cores;
+            });
+  asic.erase(std::unique(asic.begin(), asic.end(),
+                         [](const CoreGroup& a, const CoreGroup& b) {
+                           return a.pe == b.pe && a.type == b.type;
+                         }),
+             asic.end());
+  for_each_pe(asic, [&](PeId p, std::span<const CoreGroup> run) {
+    const CoreSet set = allocate_cores(run, tech, p, arch.pe(p).area_capacity);
+    for (std::vector<CoreSet>& row : alloc.per_mode) row[p.index()] = set;
+  });
+  return alloc;
+}
 
 CoreAllocation build_core_allocation(const System& system,
                                      const MultiModeMapping& mapping,
                                      const AllocationOptions& options) {
-  const Omsm& omsm = system.omsm;
-  const Architecture& arch = system.arch;
-  const TechLibrary& tech = system.tech;
-  const std::size_t n_modes = omsm.mode_count();
-  const std::size_t n_pes = arch.pe_count();
-  const std::size_t n_types = tech.type_count();
+  std::vector<ModeCoreDemand> demands;
+  demands.reserve(system.omsm.mode_count());
+  for (std::size_t m = 0; m < system.omsm.mode_count(); ++m)
+    demands.push_back(mode_core_demand(system, m, mapping.modes[m], options));
+  const std::vector<std::span<const CoreGroup>> views(demands.begin(),
+                                                      demands.end());
+  return assemble_core_allocation(system, views);
+}
 
-  CoreAllocation alloc;
-  alloc.per_mode.assign(n_modes, std::vector<CoreSet>(n_pes));
+std::size_t SliceTable::hash(std::size_t m, std::span<const PeId> slice) {
+  std::uint64_t h = mix_word(0, m);
+  for (PeId pe : slice) h = mix_word(h, static_cast<std::uint32_t>(pe.value()));
+  return static_cast<std::size_t>(h);
+}
 
-  // Flat PE×type tables, entry pe * n_types + type. `group_size` counts the
-  // current mode's hardware tasks per (pe, type) group and `demand` holds
-  // that mode's core demand (0 = no task); `asic_demand` folds the per-type
-  // maximum over all modes, since ASIC silicon is static.
-  std::vector<int> group_size(n_pes * n_types);
-  std::vector<int> demand(n_pes * n_types);
-  std::vector<int> asic_demand(n_pes * n_types, 0);
-  std::vector<std::size_t> task_group;  // per task; kSoftware off hardware
-  std::vector<std::pair<double, int>> events;
-  const auto row = [n_types](std::vector<int>& table, std::size_t pe) {
-    return std::span<int>(table).subspan(pe * n_types, n_types);
-  };
+const ModeCoreDemand* SliceTable::find(std::size_t m,
+                                       std::span<const PeId> slice,
+                                       std::size_t hash) const {
+  const auto it = map_.find(View{m, slice, hash});
+  return it == map_.end() ? nullptr : &it->second->demand;
+}
 
-  for (std::size_t m = 0; m < n_modes; ++m) {
-    const Mode& mode = omsm.mode(ModeId{static_cast<ModeId::value_type>(m)});
-    const TaskGraph& graph = mode.graph;
-    const std::vector<PeId>& task_to_pe = mapping.modes[m].task_to_pe;
-
-    std::fill(group_size.begin(), group_size.end(), 0);
-    task_group.assign(graph.task_count(), kSoftware);
-    bool shared = false;
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-      const PeId pe = task_to_pe[t];
-      if (!is_hardware(arch.pe(pe).kind)) continue;
-      const TaskId id{static_cast<TaskId::value_type>(t)};
-      task_group[t] = pe.index() * n_types + graph.task(id).type.index();
-      shared |= ++group_size[task_group[t]] > 1;
-    }
-    for (std::size_t g = 0; g < demand.size(); ++g)
-      demand[g] = group_size[g] > 0 ? 1 : 0;
-
-    if (options.allocate_parallel_cores && shared) {
-      // Fig. 4 line 04. Extra cores pay off only for tasks of one group
-      // that can actually overlap and are urgent (low mobility), so only a
-      // mode with a shared group needs its mobility.
-      const MobilityInfo mob =
-          compute_mobility(mode, mapping.modes[m], arch, tech);
-      const double mobility_cap = options.mobility_threshold * mode.period;
-      for (std::size_t g = 0; g < group_size.size(); ++g) {
-        if (group_size[g] < 2) continue;
-        events.clear();
-        for (std::size_t t = 0; t < graph.task_count(); ++t) {
-          if (task_group[t] != g || mob.mobility[t] > mobility_cap) continue;
-          events.emplace_back(mob.asap_start[t], +1);
-          events.emplace_back(mob.asap_start[t] + mob.exec_time[t], -1);
-        }
-        demand[g] = std::max(1, max_concurrency(events));
-      }
-    }
-
-    for (std::size_t p = 0; p < n_pes; ++p) {
-      const Pe& pe = arch.pes()[p];
-      if (pe.kind == PeKind::kAsic) {
-        const std::span<int> merged = row(asic_demand, p);
-        const std::span<int> want = row(demand, p);
-        for (std::size_t t = 0; t < n_types; ++t)
-          merged[t] = std::max(merged[t], want[t]);
-      } else if (pe.kind == PeKind::kFpga) {
-        // Reconfigurable: one set per mode.
-        alloc.per_mode[m][p] =
-            allocate_cores(row(demand, p), tech,
-                           PeId{static_cast<PeId::value_type>(p)},
-                           pe.area_capacity);
-      }
-    }
-  }
-
-  // Static silicon: one set for all modes, from the per-type max demand.
-  for (std::size_t p = 0; p < n_pes; ++p) {
-    const Pe& pe = arch.pes()[p];
-    if (pe.kind != PeKind::kAsic) continue;
-    const CoreSet set = allocate_cores(row(asic_demand, p), tech,
-                                       PeId{static_cast<PeId::value_type>(p)},
-                                       pe.area_capacity);
-    for (std::size_t m = 0; m < n_modes; ++m) alloc.per_mode[m][p] = set;
-  }
-  return alloc;
+void SliceTable::insert(std::size_t m, std::span<const PeId> slice,
+                        std::size_t hash, ModeCoreDemand demand) {
+  if (map_.contains(View{m, slice, hash})) return;
+  if (capacity_ > 0 && map_.size() >= capacity_) map_.clear();
+  auto entry = std::make_unique<Entry>(
+      Entry{{slice.begin(), slice.end()}, std::move(demand)});
+  const View key{m, entry->slice, hash};
+  map_.emplace(key, std::move(entry));
 }
 
 }  // namespace mmsyn

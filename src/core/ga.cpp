@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "common/checksum.hpp"
@@ -68,7 +69,8 @@ MappingGa::MappingGa(const System& system, const Evaluator& evaluator,
       rng_(RngKind::kThreefry, seed, rng_stream),
       pool_(std::make_unique<ThreadPool>(
           ThreadPool::resolve_thread_count(options.num_threads))),
-      mode_cache_(options.mode_cache_capacity) {}
+      mode_cache_(options.mode_cache_capacity),
+      slice_table_(options.mode_cache_capacity) {}
 
 MappingGa::~MappingGa() = default;
 
@@ -165,12 +167,22 @@ void MappingGa::evaluate_jobs_incremental(
   constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
   const std::size_t n_modes = system_.omsm.mode_count();
 
-  // Phase 2a (parallel): decode, allocate cores, and build every mode's
-  // cache key. Pure per job, no shared state touched.
+  // Phase 2a (parallel): decode; take each mode's core demand from the
+  // slice table, computing the ones it lacks; assemble the allocation;
+  // build and hash every mode's cache key. Reads the table, writes only
+  // this job's state.
+  struct SliceMiss {
+    std::size_t mode;
+    std::size_t hash;  // SliceTable::hash of the mode's slice
+    ModeCoreDemand demand;
+  };
   struct JobState {
     MultiModeMapping mapping;
     CoreAllocation cores;
     std::vector<ModeEvalKey> keys;
+    std::vector<std::size_t> key_hashes;  // ModeEvalKeyHash, once per key
+    /// Demands the slice table lacked, inserted in phase 2d.
+    std::vector<SliceMiss> slice_misses;
     std::vector<ModeEvaluation> modes;
     /// Per mode: index into `mode_jobs` when the inner loop still has to
     /// run, kNoJob when the cache served it.
@@ -180,10 +192,28 @@ void MappingGa::evaluate_jobs_incremental(
   pool_->parallel_for(jobs.size(), [&](std::size_t j) {
     JobState& st = states[j];
     st.mapping = codec_.decode(*jobs[j]);
-    st.cores = build_core_allocation(system_, st.mapping, alloc_options_);
+    std::vector<std::span<const CoreGroup>> demands(n_modes);
+    for (std::size_t m = 0; m < n_modes; ++m) {
+      const ModeMapping& slice = st.mapping.modes[m];
+      const std::size_t hash = SliceTable::hash(m, slice.task_to_pe);
+      if (const ModeCoreDemand* known =
+              slice_table_.find(m, slice.task_to_pe, hash)) {
+        demands[m] = *known;
+        continue;
+      }
+      st.slice_misses.push_back(SliceMiss{
+          m, hash, mode_core_demand(system_, m, slice, alloc_options_)});
+    }
+    for (const SliceMiss& miss : st.slice_misses)
+      demands[miss.mode] = miss.demand;
+    st.cores = assemble_core_allocation(system_, demands);
     st.keys.reserve(n_modes);
-    for (std::size_t m = 0; m < n_modes; ++m)
-      st.keys.push_back(evaluator_.mode_key(m, st.mapping, st.cores));
+    st.key_hashes.reserve(n_modes);
+    for (std::size_t m = 0; m < n_modes; ++m) {
+      st.keys.push_back(
+          evaluator_.mode_key(m, st.mapping, st.cores, demands[m]));
+      st.key_hashes.push_back(ModeEvalKeyHash{}(st.keys[m]));
+    }
     st.modes.resize(n_modes);
     st.pending.assign(n_modes, kNoJob);
   });
@@ -197,20 +227,23 @@ void MappingGa::evaluate_jobs_incremental(
     std::size_t mode;
   };
   std::vector<ModeJob> mode_jobs;
-  std::unordered_map<ModeEvalKey, std::size_t, ModeEvalKeyHash> in_flight;
+  std::unordered_map<HashedModeKey, std::size_t, HashedModeKey::Hash>
+      in_flight;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobState& st = states[j];
     for (std::size_t m = 0; m < n_modes; ++m) {
-      if (const ModeEvaluation* cached = mode_cache_.find(st.keys[m])) {
+      const HashedModeKey key{&st.keys[m], st.key_hashes[m]};
+      if (const ModeEvaluation* cached =
+              mode_cache_.find(st.keys[m], key.hash)) {
         st.modes[m] = *cached;  // copy: the pointer dies on the next insert
         continue;
       }
-      if (auto it = in_flight.find(st.keys[m]); it != in_flight.end()) {
+      if (auto it = in_flight.find(key); it != in_flight.end()) {
         mode_cache_.credit_hit();
         st.pending[m] = it->second;
         continue;
       }
-      in_flight.emplace(st.keys[m], mode_jobs.size());
+      in_flight.emplace(key, mode_jobs.size());
       st.pending[m] = mode_jobs.size();
       mode_jobs.push_back({j, m});
     }
@@ -232,17 +265,22 @@ void MappingGa::evaluate_jobs_incremental(
   // Phase 2d (serial, job then mode order): collect the fresh results,
   // insert each exactly once — by its owning job, so the FIFO order
   // matches the inserts a one-at-a-time run would have performed — then
-  // assemble the cross-mode aggregations and price the fitness.
+  // assemble the cross-mode aggregations and price the fitness. The
+  // slice table takes the demands 2a computed (no result depends on it).
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobState& st = states[j];
     for (std::size_t m = 0; m < n_modes; ++m) {
       const std::size_t k = st.pending[m];
       if (k == kNoJob) continue;
       st.modes[m] = fresh[k];
-      if (mode_jobs[k].job == j) mode_cache_.insert(st.keys[m], fresh[k]);
+      if (mode_jobs[k].job == j)
+        mode_cache_.insert(st.keys[m], st.key_hashes[m], fresh[k]);
     }
     results[j] = finish_fitness(
         evaluator_.assemble(st.mapping, st.cores, std::move(st.modes)));
+    for (SliceMiss& miss : st.slice_misses)
+      slice_table_.insert(miss.mode, st.mapping.modes[miss.mode].task_to_pe,
+                          miss.hash, std::move(miss.demand));
   }
 }
 

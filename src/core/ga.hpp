@@ -102,8 +102,9 @@ struct GaOptions {
   /// bitwise-identical with the cache on or off; only the wall clock and
   /// the hit-rate counters differ.
   bool memoize_mode_evaluations = true;
-  /// Upper bound on memoised (mode, slice, allocation) entries, FIFO
-  /// eviction. 0 = unbounded.
+  /// Upper bound on each of the two per-mode tables: the memo's (mode,
+  /// slice, allocation) entries (FIFO eviction) and the slice table's
+  /// per-mode core demands (cleared when full). 0 = unbounded.
   std::size_t mode_cache_capacity = 1 << 16;
 
   /// Fitness-evaluation concurrency: 1 = serial (default), 0 = all
@@ -354,7 +355,8 @@ private:
   void evaluate_batch(const std::vector<Individual*>& batch);
 
   /// Mode-cache-aware evaluation of the unique-genome jobs of one batch:
-  /// decode/allocate/key in parallel, look the per-mode memo up serially
+  /// decode, allocate (core demands through the slice table) and build
+  /// and hash the keys in parallel, look the per-mode memo up serially
   /// (with in-flight dedup so two jobs sharing a slice schedule it once),
   /// run the missing inner loops in parallel, then assemble + insert
   /// serially in job order. Fills `results[j]` for every job.
@@ -397,6 +399,13 @@ private:
   /// insertion order so a resumed run replays hits and FIFO eviction
   /// bit-identically.
   ModeEvalCache mode_cache_;
+
+  /// Per-run memo of each mode's core demand by task→PE slice, read in
+  /// phase 2a and filled in phase 2d of evaluate_jobs_incremental;
+  /// bounded by mode_cache_capacity (cleared when full). A demand is a
+  /// pure function of its slice, so the table is never checkpointed,
+  /// fingerprinted or counted.
+  SliceTable slice_table_;
 };
 
 }  // namespace mmsyn

@@ -87,7 +87,8 @@ private:
 /// Hamming distance); used by the GA's diversity-based convergence check.
 [[nodiscard]] double hamming_fraction(const Genome& a, const Genome& b);
 
-/// Hash functor for genome-keyed containers (fitness memoisation).
+/// Hash functor for genome-keyed containers (fitness memoisation): an
+/// in-memory word hash, never persisted.
 struct GenomeHash {
   std::size_t operator()(const Genome& genome) const;
 };

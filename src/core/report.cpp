@@ -119,7 +119,7 @@ std::string implementation_report(const System& system,
       os << render_gantt(mode, *me.schedule, result.mapping.modes[m],
                          system.arch, gantt);
     }
-    if (options.include_voltage_schedules && me.schedule) {
+    if (options.include_voltage_schedules && me.schedule && me.routable) {
       const DvsGraph graph =
           build_dvs_graph(mode, *me.schedule, result.mapping.modes[m],
                           system.arch, system.tech);

@@ -4,9 +4,11 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
+#include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "energy/artifact_hash.hpp"
 #include "power/power_model.hpp"
@@ -30,72 +32,67 @@ failpoint::Site fp_cache_insert{"cache.insert"};
 
 std::size_t ModeEvalKeyHash::operator()(const ModeEvalKey& key) const {
   // Bucket placement only: nothing persists this value (checkpoints store
-  // the memo in FIFO order), so a multiply–xorshift fold of whole words
-  // is enough; the persisted digests stay FNV-1a. A collision costs a key
-  // compare, never a result.
-  std::uint64_t h = key.options_fingerprint;
-  const auto fold = [&h](std::uint64_t word) {
-    h = (h ^ word) * 0x9e3779b97f4a7c15ull;
-    h ^= h >> 32;
-  };
-  fold(key.mode);
+  // the memo in FIFO order); the persisted digests stay FNV-1a.
+  std::uint64_t h = mix_word(key.options_fingerprint, key.mode);
   for (PeId pe : key.task_to_pe)
-    fold(static_cast<std::uint32_t>(pe.value()));
+    h = mix_word(h, static_cast<std::uint32_t>(pe.value()));
   for (const CoreSet& set : key.cores) {
-    fold(set.entries().size());
+    h = mix_word(h, set.entries().size());
     for (const auto& [type, count] : set.entries())
-      fold((std::uint64_t{static_cast<std::uint32_t>(type.value())} << 32) |
-           static_cast<std::uint32_t>(count));
+      h = mix_word(h, (std::uint64_t{static_cast<std::uint32_t>(type.value())}
+                       << 32) |
+                          static_cast<std::uint32_t>(count));
   }
   return static_cast<std::size_t>(h);
 }
 
-const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key) {
+const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key,
+                                          std::size_t hash) {
   ++lookups_;
-  const auto it = map_.find(key);
+  const auto it = map_.find(HashedModeKey{&key, hash});
   if (it == map_.end()) return nullptr;
-  if (mode_evaluation_digest(it->second.value) != it->second.digest) {
+  const std::list<Stored>::iterator entry = it->second;
+  if (mode_evaluation_digest(entry->value) != entry->digest) {
     // Poisoned entry: quarantine (erase) and report a miss so the caller
     // recomputes. Recomputation is bit-identical to a cold evaluation.
     ++quarantined_;
-    order_.erase(std::find(order_.begin(), order_.end(), key));
     map_.erase(it);
+    fifo_.erase(entry);
     return nullptr;
   }
   ++hits_;
-  return &it->second.value;
+  return &entry->value;
 }
 
-void ModeEvalCache::insert(const ModeEvalKey& key,
+void ModeEvalCache::insert(const ModeEvalKey& key, std::size_t hash,
                            const ModeEvaluation& value) {
   // Duplicate keys must be detected *before* eviction: at capacity, running
   // the eviction loop first would evict the FIFO head and then fail the
   // emplace, shrinking the cache and losing an innocent entry.
-  if (map_.find(key) != map_.end()) return;
+  if (map_.contains(HashedModeKey{&key, hash})) return;
   const failpoint::Action fault = fp_cache_insert.hit();
   if (fault == failpoint::Action::kKill) std::_Exit(failpoint::kKillExitCode);
   if (fault == failpoint::Action::kFail) return;
   if (capacity_ > 0) {
-    while (map_.size() >= capacity_ && !order_.empty()) {
-      map_.erase(order_.front());
-      order_.pop_front();
+    while (map_.size() >= capacity_ && !fifo_.empty()) {
+      map_.erase(HashedModeKey{&fifo_.front().key, fifo_.front().hash});
+      fifo_.pop_front();
     }
   }
-  Stored stored{value, mode_evaluation_digest(value)};
+  Stored& stored = fifo_.emplace_back(
+      Stored{key, hash, value, mode_evaluation_digest(value)});
   if (fault == failpoint::Action::kCorrupt)
     stored.value.dyn_energy =
         std::bit_cast<double>(std::bit_cast<std::uint64_t>(
                                   stored.value.dyn_energy) ^ 1u);
-  map_.emplace(key, std::move(stored));
-  order_.push_back(key);
+  map_.emplace(HashedModeKey{&stored.key, hash}, std::prev(fifo_.end()));
 }
 
 std::vector<std::pair<ModeEvalKey, ModeEvaluation>> ModeEvalCache::entries()
     const {
   std::vector<std::pair<ModeEvalKey, ModeEvaluation>> out;
-  out.reserve(order_.size());
-  for (const ModeEvalKey& key : order_)
-    out.emplace_back(key, map_.at(key).value);
+  out.reserve(fifo_.size());
+  for (const Stored& stored : fifo_) out.emplace_back(stored.key, stored.value);
   return out;
 }
 
@@ -103,7 +100,7 @@ void ModeEvalCache::restore(
     std::vector<std::pair<ModeEvalKey, ModeEvaluation>> entries, long hits,
     long lookups) {
   map_.clear();
-  order_.clear();
+  fifo_.clear();
   for (auto& [key, value] : entries) insert(key, value);
   hits_ = hits;
   lookups_ = lookups;
@@ -111,7 +108,7 @@ void ModeEvalCache::restore(
 
 void ModeEvalCache::clear() {
   map_.clear();
-  order_.clear();
+  fifo_.clear();
   hits_ = 0;
   lookups_ = 0;
   quarantined_ = 0;
@@ -149,21 +146,8 @@ Evaluator::Evaluator(const System& system, EvaluationOptions options)
 std::vector<CoreSet> Evaluator::mode_cores(std::size_t m,
                                            const MultiModeMapping& mapping,
                                            const CoreAllocation& cores) const {
-  // The scheduler looks up a core group only for a task it places, so a
-  // group of a type no task of this mode maps onto its PE is never read.
-  const TaskGraph& graph =
-      system_.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)}).graph;
-  const std::vector<PeId>& task_to_pe = mapping.modes[m].task_to_pe;
-  const std::vector<CoreSet>& loaded = cores.per_mode[m];
-  std::vector<CoreSet> used(loaded.size());
-  for (std::size_t t = 0; t < graph.task_count(); ++t) {
-    const std::size_t p = task_to_pe[t].index();
-    const TaskTypeId type =
-        graph.task(TaskId{static_cast<TaskId::value_type>(t)}).type;
-    if (const int count = loaded[p].count_of(type); count > 0)
-      used[p].set_count(type, count);
-  }
-  return used;
+  return used_cores(cores.per_mode[m],
+                    hardware_groups(system_, m, mapping.modes[m]));
 }
 
 ModeEvaluation Evaluator::evaluate_mode(std::size_t m,
@@ -174,11 +158,18 @@ ModeEvaluation Evaluator::evaluate_mode(std::size_t m,
 
 ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
                                 const CoreAllocation& cores) const {
+  return mode_key(m, mapping, cores,
+                  hardware_groups(system_, m, mapping.modes[m]));
+}
+
+ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
+                                const CoreAllocation& cores,
+                                std::span<const CoreGroup> groups) const {
   ModeEvalKey key;
   key.mode = static_cast<std::uint32_t>(m);
   key.options_fingerprint = pipeline_.evaluation_fingerprint();
   key.task_to_pe = mapping.modes[m].task_to_pe;
-  key.cores = mode_cores(m, mapping, cores);
+  key.cores = used_cores(cores.per_mode[m], groups);
   return key;
 }
 
@@ -262,12 +253,13 @@ Evaluation Evaluator::evaluate(const MultiModeMapping& mapping,
   modes.reserve(system_.omsm.mode_count());
   for (std::size_t m = 0; m < system_.omsm.mode_count(); ++m) {
     const ModeEvalKey key = mode_key(m, mapping, cores);
-    if (const ModeEvaluation* hit = cache->find(key)) {
+    const std::size_t hash = ModeEvalKeyHash{}(key);
+    if (const ModeEvaluation* hit = cache->find(key, hash)) {
       modes.push_back(*hit);
       continue;
     }
     modes.push_back(pipeline_.run(m, mapping.modes[m], key.cores));
-    cache->insert(key, modes.back());
+    cache->insert(key, hash, modes.back());
   }
   return assemble(mapping, cores, std::move(modes));
 }

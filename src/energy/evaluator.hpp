@@ -22,8 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -135,6 +136,25 @@ struct ModeEvalKeyHash {
   std::size_t operator()(const ModeEvalKey& key) const;
 };
 
+/// A key and its ModeEvalKeyHash, computed once and handed to every
+/// lookup and insert so no container hashes the key again (MappingGa
+/// hashes each key in its parallel phase 2a). A view: the key must
+/// outlive it.
+struct HashedModeKey {
+  const ModeEvalKey* key = nullptr;
+  std::size_t hash = 0;
+
+  /// Bucket hash of containers keyed by the view: the carried hash.
+  struct Hash {
+    std::size_t operator()(const HashedModeKey& k) const noexcept {
+      return k.hash;
+    }
+  };
+  friend bool operator==(const HashedModeKey& a, const HashedModeKey& b) {
+    return a.hash == b.hash && (a.key == b.key || *a.key == *b.key);
+  }
+};
+
 /// Bounded FIFO memo of whole-mode pipeline results. Not thread-safe:
 /// callers that evaluate concurrently must confine lookups/insertions to
 /// a serial phase (see MappingGa::evaluate_batch). A cached value is
@@ -152,12 +172,22 @@ public:
   explicit ModeEvalCache(std::size_t capacity = 1 << 16)
       : capacity_(capacity) {}
 
-  /// Looks `key` up, counting one lookup (and a hit when found). The
-  /// returned pointer is invalidated by the next insert().
-  [[nodiscard]] const ModeEvaluation* find(const ModeEvalKey& key);
+  /// Looks `key` up, counting one lookup (and a hit when found); `hash`
+  /// must be ModeEvalKeyHash{}(key). The returned pointer is invalidated
+  /// by the next insert().
+  [[nodiscard]] const ModeEvaluation* find(const ModeEvalKey& key,
+                                           std::size_t hash);
+  [[nodiscard]] const ModeEvaluation* find(const ModeEvalKey& key) {
+    return find(key, ModeEvalKeyHash{}(key));
+  }
 
   /// Inserts (FIFO-evicting at capacity); duplicate keys are ignored.
-  void insert(const ModeEvalKey& key, const ModeEvaluation& value);
+  /// `hash` must be ModeEvalKeyHash{}(key).
+  void insert(const ModeEvalKey& key, std::size_t hash,
+              const ModeEvaluation& value);
+  void insert(const ModeEvalKey& key, const ModeEvaluation& value) {
+    insert(key, ModeEvalKeyHash{}(key), value);
+  }
 
   /// Accounts one extra hit. Batch evaluators that dedup in-flight keys
   /// call this for an aliased lookup — the one-at-a-time execution they
@@ -183,9 +213,12 @@ public:
   void clear();
 
 private:
-  /// A cached value plus the digest of the bytes that were stored, so a
-  /// later lookup can prove the entry is still what insert() computed.
+  /// A cached value under its key, plus the digest of the bytes that
+  /// were stored, so a later lookup can prove the entry is still what
+  /// insert() computed.
   struct Stored {
+    ModeEvalKey key;
+    std::size_t hash = 0;
     ModeEvaluation value;
     std::uint64_t digest = 0;
   };
@@ -194,8 +227,12 @@ private:
   long hits_ = 0;
   long lookups_ = 0;
   long quarantined_ = 0;
-  std::unordered_map<ModeEvalKey, Stored, ModeEvalKeyHash> map_;
-  std::deque<ModeEvalKey> order_;  // insertion order for FIFO eviction
+  /// The entries in insertion order (the FIFO); they own the keys the
+  /// index's views point at.
+  std::list<Stored> fifo_;
+  std::unordered_map<HashedModeKey, std::list<Stored>::iterator,
+                     HashedModeKey::Hash>
+      map_;
 };
 
 /// Evaluates candidates against one system. The system reference must
@@ -230,11 +267,12 @@ public:
                                     const CoreAllocation& cores,
                                     ModeEvalCache* cache) const;
 
-  /// The core groups mode `m` schedules on: per PE, only the (type,
-  /// count) entries of `cores.per_mode[m]` whose type some task of mode
-  /// `m` maps onto that PE (software PEs stay empty). The list scheduler
-  /// reads no other group, so the pipeline's result is the same on this
-  /// slice as on the full row.
+  /// The core groups mode `m` schedules on: used_cores of the mode's
+  /// hardware_groups — per hardware PE, only the (type, count) entries of
+  /// `cores.per_mode[m]` whose type some task of mode `m` maps onto that
+  /// PE (software PEs stay empty). The list scheduler reads no other
+  /// group, so the pipeline's result is the same on this slice as on the
+  /// full row.
   [[nodiscard]] std::vector<CoreSet> mode_cores(
       std::size_t m, const MultiModeMapping& mapping,
       const CoreAllocation& cores) const;
@@ -252,6 +290,13 @@ public:
   [[nodiscard]] ModeEvalKey mode_key(std::size_t m,
                                      const MultiModeMapping& mapping,
                                      const CoreAllocation& cores) const;
+  /// The same key from mode `m`'s hardware groups (ascending by (pe,
+  /// type)) when the caller already holds them — MappingGa passes the
+  /// mode's core demand, whose groups are exactly these.
+  [[nodiscard]] ModeEvalKey mode_key(std::size_t m,
+                                     const MultiModeMapping& mapping,
+                                     const CoreAllocation& cores,
+                                     std::span<const CoreGroup> groups) const;
 
   /// Cross-mode aggregation: Eq. 1 weighted powers, the per-period
   /// timing penalty, area usage/violations (max-over-modes for FPGAs) and

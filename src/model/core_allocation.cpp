@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
+#include "model/mapping.hpp"
+#include "model/system.hpp"
 #include "model/tech_library.hpp"
 
 namespace mmsyn {
@@ -59,6 +62,45 @@ double CoreAllocation::required_area(PeId pe, const TechLibrary& tech) const {
   for (const auto& mode_sets : per_mode)
     worst = std::max(worst, mode_sets[pe.index()].area(tech, pe));
   return worst;
+}
+
+std::vector<HardwareTask> hardware_tasks(const System& system, std::size_t m,
+                                         const ModeMapping& slice) {
+  const TaskGraph& graph =
+      system.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)}).graph;
+  std::vector<HardwareTask> tasks;
+  tasks.reserve(graph.task_count());
+  for (std::size_t t = 0; t < graph.task_count(); ++t) {
+    const PeId pe = slice.task_to_pe[t];
+    if (!is_hardware(system.arch.pe(pe).kind)) continue;
+    const TaskId id{static_cast<TaskId::value_type>(t)};
+    tasks.push_back({pe, graph.task(id).type, id});
+  }
+  std::sort(tasks.begin(), tasks.end(),
+            [](const HardwareTask& a, const HardwareTask& b) {
+              return std::tuple(a.pe, a.type, a.task) <
+                     std::tuple(b.pe, b.type, b.task);
+            });
+  return tasks;
+}
+
+std::vector<CoreGroup> hardware_groups(const System& system, std::size_t m,
+                                       const ModeMapping& slice) {
+  std::vector<CoreGroup> groups;
+  for (const HardwareTask& t : hardware_tasks(system, m, slice))
+    if (groups.empty() || groups.back().pe != t.pe ||
+        groups.back().type != t.type)
+      groups.push_back({t.pe, t.type});
+  return groups;
+}
+
+std::vector<CoreSet> used_cores(const std::vector<CoreSet>& row,
+                                std::span<const CoreGroup> groups) {
+  std::vector<CoreSet> used(row.size());
+  for (const CoreGroup& g : groups)
+    if (const int count = row[g.pe.index()].count_of(g.type); count > 0)
+      used[g.pe.index()].set_count(g.type, count);
+  return used;
 }
 
 }  // namespace mmsyn

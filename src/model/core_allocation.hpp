@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -17,6 +18,8 @@
 namespace mmsyn {
 
 class TechLibrary;
+struct ModeMapping;
+struct System;
 
 /// Multiset of cores loaded on one hardware PE (in one mode).
 class CoreSet {
@@ -75,5 +78,41 @@ struct CoreAllocation {
   /// configuration must fit on its own).
   [[nodiscard]] double required_area(PeId pe, const TechLibrary& tech) const;
 };
+
+/// One hardware (PE, task type) group of a mode — the mode maps at least
+/// one task of `type` onto hardware PE `pe` — and the cores of that type
+/// the group wants there (ImplementHWcores' per-mode demand, at least 1).
+struct CoreGroup {
+  PeId pe;
+  TaskTypeId type;
+  int cores = 1;
+  friend bool operator==(const CoreGroup&, const CoreGroup&) = default;
+};
+
+/// One task a mode maps onto a hardware PE.
+struct HardwareTask {
+  PeId pe;
+  TaskTypeId type;
+  TaskId task;
+};
+
+/// The tasks of mode `m` that its task→PE slice maps onto hardware PEs,
+/// sorted by (pe, type, task): each hardware group is one run.
+[[nodiscard]] std::vector<HardwareTask> hardware_tasks(
+    const System& system, std::size_t m, const ModeMapping& slice);
+
+/// The hardware groups of mode `m` under its task→PE slice (the runs of
+/// hardware_tasks), ascending by (pe, type), each wanting one core.
+[[nodiscard]] std::vector<CoreGroup> hardware_groups(const System& system,
+                                                     std::size_t m,
+                                                     const ModeMapping& slice);
+
+/// The part of one mode's allocation row that the mode schedules on: per
+/// group of `groups` (ascending by (pe, type)), the count `row` holds for
+/// its type on its PE, when nonzero. A group's own `cores` is not read.
+/// The list scheduler looks up no other core group, so a mode's pipeline
+/// result is the same on this slice as on the full row.
+[[nodiscard]] std::vector<CoreSet> used_cores(
+    const std::vector<CoreSet>& row, std::span<const CoreGroup> groups);
 
 }  // namespace mmsyn

@@ -37,8 +37,9 @@ struct CommMapping {
 };
 
 /// Stage 3 — the DVS problem graph (Fig. 5 serialization of parallel
-/// hardware cores). Empty for the no-DVS backend, which prices energies
-/// at nominal voltage straight off the schedule.
+/// hardware cores). Empty for the no-DVS backend and for an unroutable
+/// schedule; stage 4 then prices energies at nominal voltage straight
+/// off the schedule.
 struct SerializedSchedule {
   bool has_graph = false;
   DvsGraph graph;

@@ -60,7 +60,11 @@ SerializedSchedule ModePipeline::serialize(std::size_t m,
                                            const ModeSchedule& schedule) const {
   const StageTimer timer(options_.profiler, PipelineStage::kSerialize);
   SerializedSchedule out;
-  if (!options_.use_dvs) return out;  // nominal backend: no graph needed
+  // The nominal backend needs no graph, and neither does an unroutable
+  // schedule: its kUnroutablePenalty transfer would stretch the Fig. 5
+  // cut tolerance past whole tasks. Such a mode is priced at nominal
+  // voltage and stays infeasible (finalize carries `routable`).
+  if (!options_.use_dvs || !schedule.routable) return out;
   const Mode& mode = system_.omsm.mode(ModeId{static_cast<ModeId::value_type>(m)});
   out.graph = build_dvs_graph(mode, schedule, mapping, system_.arch,
                               system_.tech, options_.dvs.scale_hardware);
@@ -77,7 +81,7 @@ ScaledSchedule ModePipeline::scale(std::size_t m, const ModeMapping& mapping,
   // Per-PE busy accounting is only materialised for power models that
   // declare they read it (dpm-idle); the others skip it entirely.
   const bool want_busy = options_.power->needs_pe_busy();
-  if (options_.use_dvs) {
+  if (serialized.has_graph) {
     const DvsGraph& g = serialized.graph;
     std::vector<double> penalty;
     if (want_busy) {

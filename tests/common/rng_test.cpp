@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -205,17 +204,23 @@ TEST(Rng, ThreefryStateJumpLeapfrogsTheStream) {
 }
 
 TEST(Rng, ThreefryKnownBlockIsStable) {
-  // Golden block: pins the Threefry2x64-20 round/key schedule so a
+  // Known answers: pin the Threefry2x64-20 round/key schedule so a
   // refactor cannot silently change every counter stream.
-  const auto zero = Rng::threefry2x64({0, 0}, {0, 0});
-  const auto one = Rng::threefry2x64({1, 0}, {0, 0});
-  EXPECT_NE(zero, one);
-  // Self-consistency across calls (pure function).
-  EXPECT_EQ(zero, Rng::threefry2x64({0, 0}, {0, 0}));
-  // Bit diffusion: consecutive counters differ in roughly half the bits.
-  const int popcount = std::popcount(zero[0] ^ one[0]);
-  EXPECT_GT(popcount, 10);
-  EXPECT_LT(popcount, 54);
+  using Block = std::array<std::uint64_t, 2>;
+  // Random123's published test vector for the zero counter and key.
+  EXPECT_EQ(Rng::threefry2x64({0, 0}, {0, 0}),
+            (Block{0xc2b6e3a8c2c69865ull, 0x6f81ed42f350084dull}));
+  // Blocks recorded from the round loop the unrolled rounds replaced.
+  EXPECT_EQ(Rng::threefry2x64({1, 0}, {0, 0}),
+            (Block{0xbaf51c00fb3a5957ull, 0xed553e57f10b3b42ull}));
+  EXPECT_EQ(Rng::threefry2x64({0, 0},
+                              {0x0123456789abcdefull, 0xfedcba9876543210ull}),
+            (Block{0x31cb77f8835522b7ull, 0xdaee349c173b4741ull}));
+  EXPECT_EQ(Rng::threefry2x64({~0ull, ~0ull}, {~0ull, ~0ull}),
+            (Block{0xe02cb7c4d95d277aull, 0xd06633d0893b8b68ull}));
+  EXPECT_EQ(Rng::threefry2x64({7, 1ull << 32},
+                              {0x243f6a8885a308d3ull, 0x13198a2e03707344ull}),
+            (Block{0x7dcc73213da45c2bull, 0xe0622a78d717617dull}));
 }
 
 TEST(Rng, ThreefryHelpersRespectDistributionContracts) {

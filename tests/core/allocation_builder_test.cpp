@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "model/system.hpp"
 
 namespace mmsyn {
@@ -163,6 +165,47 @@ TEST_F(AllocationBuilderTest, OverfullBaseSetIsNotExtended) {
   const CoreAllocation alloc = build_core_allocation(system_, m);
   // Base core still allocated (the mapping demands it) but no extras.
   EXPECT_EQ(alloc.cores(ModeId{0}, asic_).count_of(type_), 1);
+}
+
+TEST_F(AllocationBuilderTest, ModeDemandListsHardwareGroupsWithTheirCores) {
+  build_modes(3);
+  system_.omsm.mode(ModeId{0}).period = 2e-3;  // all three urgent
+  MultiModeMapping m;
+  m.modes.resize(2);
+  m.modes[0].task_to_pe = {asic_, asic_, asic_};
+  m.modes[1].task_to_pe = {sw_};
+  EXPECT_EQ(mode_core_demand(system_, 0, m.modes[0]),
+            (ModeCoreDemand{{asic_, type_, 3}}));
+  EXPECT_TRUE(mode_core_demand(system_, 1, m.modes[1]).empty());
+  AllocationOptions single;
+  single.allocate_parallel_cores = false;
+  EXPECT_EQ(mode_core_demand(system_, 0, m.modes[0], single),
+            (ModeCoreDemand{{asic_, type_, 1}}));
+  EXPECT_EQ(mode_core_demand(system_, 0, m.modes[0], single),
+            hardware_groups(system_, 0, m.modes[0]));
+}
+
+TEST(SliceTable, FindsStoredDemandsAndClearsWhenFull) {
+  SliceTable table(/*capacity=*/2);
+  const std::vector<PeId> a{PeId{0}, PeId{1}};
+  const std::vector<PeId> b{PeId{1}, PeId{0}};
+  const std::vector<PeId> c{PeId{1}, PeId{1}};
+  const ModeCoreDemand demand{{PeId{1}, TaskTypeId{0}, 2}};
+  EXPECT_EQ(table.find(0, a, SliceTable::hash(0, a)), nullptr);
+  table.insert(0, a, SliceTable::hash(0, a), demand);
+  ASSERT_NE(table.find(0, a, SliceTable::hash(0, a)), nullptr);
+  EXPECT_EQ(*table.find(0, a, SliceTable::hash(0, a)), demand);
+  // The mode is part of the key.
+  EXPECT_EQ(table.find(1, a, SliceTable::hash(1, a)), nullptr);
+  table.insert(0, a, SliceTable::hash(0, a), {});  // present: ignored
+  EXPECT_EQ(*table.find(0, a, SliceTable::hash(0, a)), demand);
+  table.insert(0, b, SliceTable::hash(0, b), {});
+  EXPECT_EQ(table.size(), 2u);
+  // Full: the next insert starts over.
+  table.insert(0, c, SliceTable::hash(0, c), demand);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(0, a, SliceTable::hash(0, a)), nullptr);
+  EXPECT_NE(table.find(0, c, SliceTable::hash(0, c)), nullptr);
 }
 
 }  // namespace

@@ -402,5 +402,67 @@ TEST(ModeCacheGa, TinyCapacityChangesCostNotResults) {
   EXPECT_LE(tiny.mode_cache_hits, roomy.mode_cache_hits);
 }
 
+// ---- GA-level contract of the slice table (MappingGa's per-run memo of
+// each mode's core demand): it changes wall clock, never results. --------
+
+TEST(SliceTable, ResultsAndReportsIdenticalAcrossMemoCapacityAndThreads) {
+  const System system = asic_fpga_system();
+  // At the default threshold no task of this system is urgent enough for
+  // an extra core (every mobility exceeds half the period); at 1.0 some
+  // slice has a hardware group of two or more tasks whose mobility
+  // analysis asks for one, so the demands the table holds differ.
+  AllocationOptions allocation;
+  allocation.mobility_threshold = 1.0;
+  {
+    const GenomeCodec codec(system);
+    Rng rng(3);
+    bool extra_core = false;
+    for (int i = 0; i < 100 && !extra_core; ++i) {
+      const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
+      for (std::size_t m = 0; m < system.omsm.mode_count(); ++m)
+        for (const CoreGroup& group :
+             mode_core_demand(system, m, mapping.modes[m], allocation))
+          extra_core = extra_core || group.cores > 1;
+    }
+    ASSERT_TRUE(extra_core);
+  }
+
+  ReportOptions report;
+  report.include_timing = false;
+  for (const bool use_dvs : {false, true}) {
+    SCOPED_TRACE(use_dvs ? "dvs" : "nominal");
+    SynthesisOptions options;
+    options.ga = fast_ga();
+    options.seed = 23;
+    options.use_dvs = use_dvs;
+    options.allocation = allocation;
+    options.ga.memoize_mode_evaluations = false;  // no table, no memo
+    const SynthesisResult off = synthesize(system, options);
+    options.ga.memoize_mode_evaluations = true;
+    const SynthesisResult on = synthesize(system, options);
+    options.ga.mode_cache_capacity = 4;  // the table clears constantly
+    const SynthesisResult tiny = synthesize(system, options);
+    options.ga.mode_cache_capacity = GaOptions{}.mode_cache_capacity;
+    options.ga.num_threads = 3;
+    const SynthesisResult threaded = synthesize(system, options);
+
+    const std::string expected = implementation_report(system, off, report);
+    for (const SynthesisResult* run : {&on, &tiny, &threaded}) {
+      EXPECT_EQ(run->fitness, off.fitness);
+      EXPECT_EQ(run->generations, off.generations);
+      EXPECT_EQ(run->evaluations, off.evaluations);
+      EXPECT_EQ(run->cache_hits, off.cache_hits);
+      EXPECT_EQ(run->cache_lookups, off.cache_lookups);
+      EXPECT_EQ(run->cores.per_mode, off.cores.per_mode);
+      EXPECT_EQ(run->evaluation.avg_power_true, off.evaluation.avg_power_true);
+      EXPECT_EQ(implementation_report(system, *run, report), expected);
+    }
+    // The memo counts are the memo's alone: the table adds none.
+    EXPECT_EQ(threaded.mode_cache_hits, on.mode_cache_hits);
+    EXPECT_EQ(threaded.mode_cache_lookups, on.mode_cache_lookups);
+    EXPECT_EQ(tiny.mode_cache_lookups, on.mode_cache_lookups);
+  }
+}
+
 }  // namespace
 }  // namespace mmsyn

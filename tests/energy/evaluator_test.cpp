@@ -4,11 +4,15 @@
 
 #include <string>
 
+#include "audit/auditor.hpp"
+#include "common/rng.hpp"
 #include "core/allocation_builder.hpp"
 #include "core/cosynth.hpp"
+#include "core/genome.hpp"
 #include "energy/artifact_hash.hpp"
 #include "model/io.hpp"
 #include "model/system.hpp"
+#include "tgff/generator.hpp"
 #include "tgff/motivational.hpp"
 #include "tgff/suites.hpp"
 
@@ -355,6 +359,85 @@ TEST(EvaluatorFinalize, CyclicUnvalidatedGraphThrowsNamingItsMode) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// The third generated ASIC+FPGA system of `micro_kernels`, rewired so
+/// no CL reaches its last PE: a mapping that puts a communicating task
+/// there cannot route. System::validate refuses such an architecture,
+/// but an Evaluator built on it directly must still price every mapping.
+System unconnected_system() {
+  GeneratorConfig config;
+  config.pe_count_min = config.pe_count_max = 4;
+  config.cl_count_min = 2;
+  int found = 0;
+  for (config.seed = 1;; ++config.seed) {
+    System system = generate_system(config, "unroutable");
+    bool asic = false, fpga = false;
+    for (const Pe& pe : system.arch.pes()) {
+      asic = asic || pe.kind == PeKind::kAsic;
+      fpga = fpga || pe.kind == PeKind::kFpga;
+    }
+    if (!asic || !fpga || ++found < 3) continue;
+    Architecture& arch = system.arch;
+    const std::size_t last = arch.pe_count() - 1;
+    for (std::size_t c = 0; c < arch.cl_count(); ++c) {
+      Cl& cl = arch.cl(ClId{static_cast<ClId::value_type>(c)});
+      cl.bandwidth *= static_cast<double>(c + 1);
+      cl.startup_latency *= static_cast<double>(2 * c + 1);
+      cl.attached.clear();
+      for (std::size_t p = 0; p < last; ++p)
+        cl.attached.push_back(PeId{static_cast<PeId::value_type>(p)});
+    }
+    arch.cl(ClId{0}).attached.push_back(PeId{0});
+    return system;
+  }
+}
+
+TEST(EvaluatorUnroutable, DvsPricesUnroutableModesAtNominalVoltage) {
+  // Regression: an unroutable transfer's kUnroutablePenalty stretched the
+  // Fig. 5 cut tolerance (1e-9 of the makespan) past whole tasks, and
+  // build_dvs_graph threw "constructed graph is cyclic" out of the
+  // evaluation. Such a mode now skips Fig. 5 and PV-DVS: it is priced at
+  // nominal voltage and stays infeasible.
+  const System system = unconnected_system();
+  EvaluationOptions dvs_options;
+  dvs_options.use_dvs = true;
+  const Evaluator dvs(system, dvs_options);
+  const Evaluator nominal(system, EvaluationOptions{});
+  const GenomeCodec codec(system);
+  Rng rng(5);
+  long unroutable = 0;
+  MultiModeMapping unroutable_mapping;
+  for (int i = 0; i < 300; ++i) {
+    const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
+    const CoreAllocation cores = build_core_allocation(system, mapping);
+    for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
+      ModeEvaluation me;
+      ASSERT_NO_THROW(me = dvs.evaluate_mode(m, mapping, cores))
+          << "genome " << i << ", mode " << m;
+      if (me.routable) continue;
+      ++unroutable;
+      unroutable_mapping = mapping;
+      EXPECT_TRUE(equal_mode_evaluations(
+          me, nominal.evaluate_mode(m, mapping, cores)));
+    }
+  }
+  ASSERT_GT(unroutable, 0);
+
+  const CoreAllocation cores =
+      build_core_allocation(system, unroutable_mapping);
+  EXPECT_FALSE(dvs.evaluate(unroutable_mapping, cores).feasible());
+  // The auditor replays the same stages: it reports the mode, never
+  // throws out of the Fig. 5 builder.
+  EvaluationOptions kept = dvs_options;
+  kept.keep_schedules = true;
+  SynthesisResult result;
+  result.mapping = unroutable_mapping;
+  result.cores = cores;
+  result.evaluation = Evaluator(system, kept).evaluate(result.mapping, cores);
+  AuditOptions audit;
+  audit.use_dvs = true;
+  EXPECT_NO_THROW((void)audit_result(system, result, audit));
 }
 
 }  // namespace

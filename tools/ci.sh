@@ -23,9 +23,11 @@ echo "== plain ctest =="
 echo "== mode-cache hit rates + pipeline stage profile =="
 # incremental_eval exits nonzero when the cached run diverges bytewise
 # from the cache-disabled one, so this doubles as the cache divergence
-# gate; --profile adds the per-stage table to the CI summary.
+# gate — for both DVS backends, which it runs in turn by default (the
+# no-DVS run is where the GA's slice table saves the most); --profile
+# adds the per-stage table to the CI summary.
 ./build/bench/incremental_eval --muls 3,6 --population 24 --generations 20 \
-  --profile --dvs
+  --profile
 
 echo "== staged-vs-default report identity (audited) =="
 # The explicit default backends must reproduce the implicit defaults
@@ -372,11 +374,12 @@ echo "== thread-sanitizer thread-pool tests =="
 # phases, EvaluatorFinalize runs a multi-threaded synthesis of an
 # unvalidated parsed system (task graphs first touched by the pool unless
 # the Evaluator finalized them), and IslandModel drives the island
-# coordinator's pool, which every synthesis now fans out through. TSan
-# over the full ctest suite would triple CI time for paths ASan already
-# covers.
+# coordinator's pool, which every synthesis now fans out through.
+# SliceTable runs a 3-thread synthesis whose phase 2a reads the GA's
+# slice table from pool threads. TSan over the full ctest suite would
+# triple CI time for paths ASan already covers.
 (cd build-tsan && ctest --output-on-failure -j 2 \
-  -R 'ParallelEvaluation|RngStreams|EvaluatorFinalize|IslandModel')
+  -R 'ParallelEvaluation|RngStreams|EvaluatorFinalize|IslandModel|SliceTable')
 
 echo "== thread-sanitizer island run =="
 # The island coordinator is the one place worker threads exchange state
