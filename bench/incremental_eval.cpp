@@ -2,13 +2,12 @@
 // the per-mode evaluation cache (GaOptions::memoize_mode_evaluations) on
 // the mul suite, with an in-bench bitwise-identity check — the cached and
 // the cache-disabled run must produce byte-identical reports, or the
-// bench exits nonzero. By default every instance runs under both DVS
-// backends (`none`, then `pv-dvs`); `--dvs=<backend>` runs one.
+// bench exits nonzero. Every instance runs under both DVS backends in
+// turn (`none`, then `pv-dvs`).
 //
 //   incremental_eval [--muls 4,8,12] [--population 64] [--generations 80]
-//                    [--seed 1] [--threads 1] [--dvs[=none|pv-dvs|both]]
-//                    [--min-speedup 0] [--scheduler bottom-level]
-//                    [--profile] [--json PATH]
+//                    [--seed 1] [--threads 1] [--min-speedup 0]
+//                    [--scheduler bottom-level] [--profile] [--json PATH]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -46,26 +45,19 @@ struct InstanceRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr const char* kBoth = "both";
-  std::vector<std::string> dvs_choices = backend_names(dvs_backends());
-  dvs_choices.emplace_back(kBoth);
   Flags flags;
   flags.define_string("muls", "4,8,12", "comma-separated mul suite sizes");
   flags.define_int("population", 64, "GA population size");
   flags.define_int("generations", 80, "GA generations (fixed, no early stop)");
   flags.define_int("seed", 1, "GA seed");
   flags.define_int("threads", 1, "fitness-evaluation threads");
-  flags.define_choice("dvs", dvs_choices, /*default_value=*/kBoth,
-                      /*implicit_value=*/dvs_backend_name(true),
-                      "voltage-scaling backend, or both in turn (bare "
-                      "--dvs = " +
-                          std::string(dvs_backend_name(true)) + ")");
   flags.define_choice("scheduler", backend_names(scheduler_backends()),
                       /*default_value=*/scheduler_backends().front().name,
                       /*implicit_value=*/scheduler_backends().front().name,
                       "list-scheduler priority backend");
   flags.define_bool("profile", false,
-                    "print per-stage pipeline timings for the cached runs");
+                    "print per-stage pipeline timings for the cached runs, "
+                    "one table per DVS backend");
   flags.define_double("min-speedup", 0.0,
                       "fail unless at least one instance reaches this "
                       "cached/cold speedup (0 disables)");
@@ -74,16 +66,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   SynthesisOptions base;
-  PipelineProfiler profiler;
-  std::vector<bool> backends;  // use_dvs per backend run
   try {
-    const std::string& dvs = flags.get_string("dvs");
-    if (dvs == kBoth) {
-      for (const DvsBackendInfo& info : dvs_backends())
-        backends.push_back(info.use_dvs);
-    } else {
-      backends.push_back(resolve_dvs_backend(dvs));
-    }
     base.scheduling_policy =
         resolve_scheduler_backend(flags.get_string("scheduler"));
   } catch (const std::invalid_argument& e) {
@@ -102,10 +85,11 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   double best_speedup = 0.0;
-  long total_eval_hits = 0, total_eval_lookups = 0;
-  std::vector<std::vector<InstanceRow>> runs;  // per backend
-  for (const bool use_dvs : backends) {
-    base.use_dvs = use_dvs;
+  std::vector<std::vector<InstanceRow>> runs;  // per dvs_backends() entry
+  for (const DvsBackendInfo& backend : dvs_backends()) {
+    base.use_dvs = backend.use_dvs;
+    PipelineProfiler profiler;
+    long total_eval_hits = 0, total_eval_lookups = 0;
     TextTable table;
     table.set_header({"instance", "cold(s)", "cached(s)", "speedup",
                       "hit rate", "identical"});
@@ -157,11 +141,11 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout,
                 std::string("per-mode incremental evaluation (cold vs cached "
-                            "GA run), --dvs=") +
-                    dvs_backend_name(use_dvs));
+                            "GA run), DVS backend ") +
+                    backend.name);
+    if (flags.get_bool("profile"))
+      std::cout << profiler.table(total_eval_hits, total_eval_lookups);
   }
-  if (flags.get_bool("profile"))
-    std::cout << profiler.table(total_eval_hits, total_eval_lookups);
 
   if (!flags.get_string("json").empty()) {
     std::ofstream out(flags.get_string("json"));
@@ -171,7 +155,7 @@ int main(int argc, char** argv) {
         << "  \"generations\": " << flags.get_int("generations") << ",\n"
         << "  \"backends\": {\n";
     for (std::size_t b = 0; b < runs.size(); ++b) {
-      out << "    \"" << dvs_backend_name(backends[b]) << "\": {\n";
+      out << "    \"" << dvs_backends()[b].name << "\": {\n";
       for (std::size_t i = 0; i < runs[b].size(); ++i) {
         const InstanceRow& r = runs[b][i];
         out << "      \"mul" << r.mul << "\": {\"cold_s\": " << r.cold_s

@@ -194,17 +194,14 @@ const ModeCoreDemand* SliceTable::find(std::size_t m,
                                        std::span<const PeId> slice,
                                        std::size_t hash) const {
   const auto it = map_.find(View{m, slice, hash});
-  return it == map_.end() ? nullptr : &it->second->demand;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
 void SliceTable::insert(std::size_t m, std::span<const PeId> slice,
                         std::size_t hash, ModeCoreDemand demand) {
   if (map_.contains(View{m, slice, hash})) return;
   if (capacity_ > 0 && map_.size() >= capacity_) map_.clear();
-  auto entry = std::make_unique<Entry>(
-      Entry{{slice.begin(), slice.end()}, std::move(demand)});
-  const View key{m, entry->slice, hash};
-  map_.emplace(key, std::move(entry));
+  map_.emplace(Key{m, {slice.begin(), slice.end()}, hash}, std::move(demand));
 }
 
 }  // namespace mmsyn

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -90,28 +89,33 @@ public:
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
 private:
-  struct Entry {
+  /// A stored (mode, slice) key with its hash.
+  struct Key {
+    std::size_t mode = 0;
     std::vector<PeId> slice;
-    ModeCoreDemand demand;
+    std::size_t hash = 0;
   };
-  /// A (mode, slice) key that views its slice; the stored ones view their
-  /// entry's copy.
+  /// The same key viewing the caller's slice: find() looks it up as is.
   struct View {
     std::size_t mode = 0;
     std::span<const PeId> slice;
     std::size_t hash = 0;
-
-    struct Hash {
-      std::size_t operator()(const View& v) const noexcept { return v.hash; }
-    };
-    friend bool operator==(const View& a, const View& b) {
+  };
+  /// Transparent hash and equality, so a View finds a Key.
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(const auto& k) const noexcept { return k.hash; }
+  };
+  struct Equal {
+    using is_transparent = void;
+    bool operator()(const auto& a, const auto& b) const {
       return a.hash == b.hash && a.mode == b.mode &&
              std::ranges::equal(a.slice, b.slice);
     }
   };
 
   std::size_t capacity_;
-  std::unordered_map<View, std::unique_ptr<Entry>, View::Hash> map_;
+  std::unordered_map<Key, ModeCoreDemand, Hash, Equal> map_;
 };
 
 }  // namespace mmsyn

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/checksum.hpp"
 #include "model/system.hpp"
 
 namespace mmsyn {
@@ -105,18 +104,15 @@ std::vector<ModeId> GenomeCodec::changed_modes(const Genome& a,
 }
 
 std::size_t GenomeHash::operator()(const Genome& genome) const {
-  // Bucket placement only, never persisted: one multiply–xorshift step
-  // per four genes. A collision costs a key compare, never a result.
-  std::uint64_t h = genome.size();
-  std::uint64_t word = 0;
-  for (std::size_t g = 0; g < genome.size(); ++g) {
-    word |= std::uint64_t{genome[g]} << (16 * (g % 4));
-    if (g % 4 == 3) {
-      h = mix_word(h, word);
-      word = 0;
-    }
+  // FNV-1a over the gene bytes; genomes are short, collisions harmless
+  // (the cache only skips work, never changes results... provided the full
+  // key comparison of unordered_map resolves them — it does).
+  std::size_t hash = 1469598103934665603ull;
+  for (std::uint16_t gene : genome) {
+    hash ^= gene;
+    hash *= 1099511628211ull;
   }
-  return static_cast<std::size_t>(mix_word(h, word));
+  return hash;
 }
 
 double hamming_fraction(const Genome& a, const Genome& b) {

@@ -87,8 +87,7 @@ private:
 /// Hamming distance); used by the GA's diversity-based convergence check.
 [[nodiscard]] double hamming_fraction(const Genome& a, const Genome& b);
 
-/// Hash functor for genome-keyed containers (fitness memoisation): an
-/// in-memory word hash, never persisted.
+/// Hash functor for genome-keyed containers (fitness memoisation).
 struct GenomeHash {
   std::size_t operator()(const Genome& genome) const;
 };

@@ -171,6 +171,12 @@ class ModeEvalCache {
 public:
   explicit ModeEvalCache(std::size_t capacity = 1 << 16)
       : capacity_(capacity) {}
+  /// Not copyable: the index views keys inside the FIFO's own nodes. A
+  /// move keeps the nodes where they are, so the views stay valid.
+  ModeEvalCache(const ModeEvalCache&) = delete;
+  ModeEvalCache& operator=(const ModeEvalCache&) = delete;
+  ModeEvalCache(ModeEvalCache&&) = default;
+  ModeEvalCache& operator=(ModeEvalCache&&) = default;
 
   /// Looks `key` up, counting one lookup (and a hit when found); `hash`
   /// must be ModeEvalKeyHash{}(key). The returned pointer is invalidated

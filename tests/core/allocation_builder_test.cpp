@@ -195,6 +195,10 @@ TEST(SliceTable, FindsStoredDemandsAndClearsWhenFull) {
   table.insert(0, a, SliceTable::hash(0, a), demand);
   ASSERT_NE(table.find(0, a, SliceTable::hash(0, a)), nullptr);
   EXPECT_EQ(*table.find(0, a, SliceTable::hash(0, a)), demand);
+  // Any slice with the same contents finds it: the key owns its copy.
+  const std::vector<PeId> a_again = a;
+  EXPECT_EQ(table.find(0, a_again, SliceTable::hash(0, a_again)),
+            table.find(0, a, SliceTable::hash(0, a)));
   // The mode is part of the key.
   EXPECT_EQ(table.find(1, a, SliceTable::hash(1, a)), nullptr);
   table.insert(0, a, SliceTable::hash(0, a), {});  // present: ignored

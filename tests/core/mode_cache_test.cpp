@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -236,6 +238,26 @@ TEST(ModeCacheProperty, RestoreRoundTripsBothTiersOrderUnderPressure) {
     for (int i = 0; i < 20; ++i) random_op(clone);
     EXPECT_EQ(entry_order(clone), entry_order(cache));
   }
+}
+
+TEST(ModeCache, MovedCacheKeepsEntriesAndFifoOrder) {
+  // The index views keys inside the FIFO's own nodes, so the cache is
+  // not copyable; a move must keep every entry findable and the FIFO
+  // order intact.
+  static_assert(!std::is_copy_constructible_v<ModeEvalCache>);
+  static_assert(!std::is_copy_assignable_v<ModeEvalCache>);
+  ModeEvalCache source(/*capacity=*/2);
+  source.insert(key_of(0), ModeEvaluation{});
+  source.insert(key_of(1), ModeEvaluation{});
+  ModeEvalCache moved(std::move(source));
+  EXPECT_NE(moved.find(key_of(0)), nullptr);
+  EXPECT_NE(moved.find(key_of(1)), nullptr);
+  ModeEvalCache assigned(/*capacity=*/2);
+  assigned = std::move(moved);
+  assigned.insert(key_of(2), ModeEvaluation{});  // evicts key 0
+  EXPECT_EQ(assigned.find(key_of(0)), nullptr);
+  EXPECT_NE(assigned.find(key_of(1)), nullptr);
+  EXPECT_EQ(entry_order(assigned), (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(ModeCache, EntriesRestoreRoundTripPreservesHits) {

@@ -23,9 +23,9 @@ echo "== plain ctest =="
 echo "== mode-cache hit rates + pipeline stage profile =="
 # incremental_eval exits nonzero when the cached run diverges bytewise
 # from the cache-disabled one, so this doubles as the cache divergence
-# gate — for both DVS backends, which it runs in turn by default (the
-# no-DVS run is where the GA's slice table saves the most); --profile
-# adds the per-stage table to the CI summary.
+# gate, for both DVS backends (it always runs them in turn; the no-DVS
+# run is where the GA's slice table saves the most); --profile adds one
+# per-stage table per backend to the CI summary.
 ./build/bench/incremental_eval --muls 3,6 --population 24 --generations 20 \
   --profile
 
